@@ -12,16 +12,19 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"github.com/rtsync/rwrnlp/internal/wire"
 )
 
 // Client talks to an rnlpd cluster. It is safe for concurrent use; one
 // Client serves any number of Sessions.
 type Client struct {
-	hc     *http.Client
-	spec   SpecInfo
-	place  *Placement
-	compOf []ResourceID      // resource → component index
-	addrOf map[string]string // node identity → base URL
+	hc      *http.Client
+	spec    SpecInfo
+	place   *Placement
+	compOf  []ResourceID      // resource → component index
+	ownerOf []string          // component index → owning node (place.Owner, precomputed)
+	addrOf  map[string]string // node identity → base URL
 
 	// metrics is the client-side telemetry registry (always on; see
 	// telemetry.go). traces is the completed-trace ring, nil under
@@ -86,6 +89,10 @@ func New(ctx context.Context, addrs []string, opts ...ClientOption) (*Client, er
 			}
 		}
 	}
+	c.ownerOf = make([]string, len(c.spec.Components))
+	for ci := range c.ownerOf {
+		c.ownerOf[ci] = c.place.Owner(ci)
+	}
 	c.addrOf = make(map[string]string, len(c.spec.Nodes))
 	switch {
 	case len(c.spec.Nodes) == 1:
@@ -122,13 +129,21 @@ func (c *Client) ComponentOf(r ResourceID) int {
 	return c.compOf[r]
 }
 
+// owner is Placement.Owner through the table New precomputed.
+func (c *Client) owner(component int) string {
+	if component >= 0 && component < len(c.ownerOf) {
+		return c.ownerOf[component]
+	}
+	return c.place.Owner(component)
+}
+
 // Fence checks a fencing token against the component's owner node: nil if
 // the token is still the component's valid fence, ErrStaleToken if it
 // belongs to a released or expired grant or a newer token has been
 // presented. Downstream services guard side effects with this before
 // applying a lock-protected operation.
 func (c *Client) Fence(ctx context.Context, component int, token uint64) error {
-	return c.post(ctx, c.place.Owner(component), "/v1/fence", FenceRequest{Component: component, Token: token}, nil)
+	return c.post(ctx, c.owner(component), "/v1/fence", FenceRequest{Component: component, Token: token}, nil)
 }
 
 // SessionOption configures OpenSession.
@@ -159,8 +174,11 @@ type Session struct {
 	c   *Client
 	ttl time.Duration
 
+	// ids maps node → server-side session id. OpenSession fills it before
+	// the session is shared; after that it is only read, without mu.
+	ids map[string]string
+
 	mu      sync.Mutex
-	ids     map[string]string // node → server-side session id
 	closed  bool
 	expired bool
 
@@ -229,18 +247,11 @@ func (s *Session) keepalive() {
 // server-side and further operations fail.
 func (s *Session) Heartbeat(ctx context.Context) error {
 	start := time.Now()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if s.isClosed() {
 		return ErrSessionClosed
 	}
-	ids := make(map[string]string, len(s.ids))
-	for n, id := range s.ids {
-		ids[n] = id
-	}
-	s.mu.Unlock()
 	var firstErr error
-	for n, id := range ids {
+	for n, id := range s.ids {
 		err := s.c.post(ctx, n, "/v1/heartbeat", HeartbeatRequest{SessionID: id}, nil)
 		if err != nil && firstErr == nil {
 			firstErr = err
@@ -258,6 +269,12 @@ func (s *Session) Heartbeat(ctx context.Context) error {
 		s.c.metrics.heartbeatNS.Observe(time.Since(start).Nanoseconds())
 	}
 	return firstErr
+}
+
+func (s *Session) isClosed() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.closed
 }
 
 func isExpiry(err error) bool {
@@ -282,17 +299,13 @@ func (s *Session) Close() error {
 		return nil
 	}
 	s.closed = true
-	ids := make(map[string]string, len(s.ids))
-	for n, id := range s.ids {
-		ids[n] = id
-	}
 	s.mu.Unlock()
 	close(s.stopKA)
 	s.kaWG.Wait()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	var firstErr error
-	for n, id := range ids {
+	for n, id := range s.ids {
 		err := s.c.post(ctx, n, "/v1/close", CloseSessionRequest{SessionID: id}, nil)
 		if err != nil && firstErr == nil && !isExpiry(err) {
 			firstErr = err
@@ -374,14 +387,30 @@ func (c *Client) route(read, write []ResourceID) ([]routeSlice, error) {
 	if len(read)+len(write) == 0 {
 		return nil, ErrEmptyRequest
 	}
-	type compSlice struct{ read, write []ResourceID }
-	byComp := map[int]*compSlice{}
-	for i, ids := range [2][]ResourceID{read, write} {
+	first, single := -1, true
+	for _, ids := range [2][]ResourceID{read, write} {
 		for _, r := range ids {
 			comp := c.ComponentOf(r)
 			if comp < 0 {
 				return nil, fmt.Errorf("%w: resource %d not in [0,%d)", ErrUnknownResource, r, c.spec.Resources)
 			}
+			if first < 0 {
+				first = comp
+			} else if comp != first {
+				single = false
+			}
+		}
+	}
+	if single {
+		// A footprint inside one component — every declared request — is one
+		// slice as given: nothing to group, order or coalesce.
+		return []routeSlice{{node: c.owner(first), read: read, write: write}}, nil
+	}
+	type compSlice struct{ read, write []ResourceID }
+	byComp := map[int]*compSlice{}
+	for i, ids := range [2][]ResourceID{read, write} {
+		for _, r := range ids {
+			comp := c.ComponentOf(r)
 			cs := byComp[comp]
 			if cs == nil {
 				cs = &compSlice{}
@@ -401,7 +430,7 @@ func (c *Client) route(read, write []ResourceID) ([]routeSlice, error) {
 	sort.Ints(comps)
 	var out []routeSlice
 	for _, comp := range comps {
-		owner := c.place.Owner(comp)
+		owner := c.owner(comp)
 		cs := byComp[comp]
 		if n := len(out); n > 0 && out[n-1].node == owner {
 			out[n-1].read = append(out[n-1].read, cs.read...)
@@ -421,16 +450,9 @@ func (c *Client) route(read, write []ResourceID) ([]routeSlice, error) {
 // reverse. The grant carries one monotonic fencing token per component.
 func (s *Session) Acquire(ctx context.Context, read, write []ResourceID) (*Grant, error) {
 	start := time.Now()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if s.isClosed() {
 		return nil, ErrSessionClosed
 	}
-	ids := make(map[string]string, len(s.ids))
-	for n, id := range s.ids {
-		ids[n] = id
-	}
-	s.mu.Unlock()
 	slices, err := s.c.route(read, write)
 	if err != nil {
 		s.c.metrics.acquireErrs.Inc()
@@ -442,17 +464,14 @@ func (s *Session) Acquire(ctx context.Context, read, write []ResourceID) (*Grant
 	}
 	g := &Grant{sess: s, tb: tb}
 	fail := func(err error) (*Grant, error) {
-		for i := len(g.parts) - 1; i >= 0; i-- {
-			p := g.parts[i]
-			rctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			_ = s.c.post(rctx, p.node, "/v1/release", ReleaseRequest{SessionID: ids[p.node], Handle: p.handle}, nil)
-			cancel()
-		}
 		if isExpiry(err) {
 			s.c.metrics.leaseExp.Inc()
 			s.mu.Lock()
 			s.expired = true
 			s.mu.Unlock()
+		}
+		if rerr := s.rollback(g.parts); rerr != nil {
+			err = errors.Join(err, rerr)
 		}
 		s.c.metrics.acquireErrs.Inc()
 		if tb != nil {
@@ -466,10 +485,10 @@ func (s *Session) Acquire(ctx context.Context, read, write []ResourceID) (*Grant
 			// Queue span: client-local time between entry and the first wire
 			// hop (routing, validation, and any caller-side queueing folded
 			// into the measured entry point).
-			tb.add(Span{ID: newTraceID(), Parent: tb.root.ID, Name: "queue",
+			tb.add(Span{ID: newTraceID(), Parent: tb.rootID(), Name: "queue",
 				StartUnixNS: start.UnixNano(), EndUnixNS: time.Now().UnixNano()})
 		}
-		info, node, err := s.acquireSlice(ctx, tb, ids, sl)
+		info, node, err := s.acquireSlice(ctx, tb, sl)
 		if err != nil {
 			return fail(err)
 		}
@@ -481,14 +500,38 @@ func (s *Session) Acquire(ctx context.Context, read, write []ResourceID) (*Grant
 	return g, nil
 }
 
+// rollback releases the slices a failed cross-node acquisition already holds,
+// newest first. A release that fails leaves its slice stranded on that node
+// until the lease runs out: each is counted in client_rollback_failures and
+// the first is returned for the caller to report. A node answering that the
+// lease or the grant is already gone has freed the slice itself, which is no
+// failure.
+func (s *Session) rollback(parts []grantPart) error {
+	var first error
+	for i := len(parts) - 1; i >= 0; i-- {
+		p := parts[i]
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		err := s.c.post(ctx, p.node, "/v1/release", ReleaseRequest{SessionID: s.ids[p.node], Handle: p.handle}, nil)
+		cancel()
+		if err == nil || isExpiry(err) || errors.Is(err, ErrAlreadyReleased) {
+			continue
+		}
+		s.c.metrics.rollbackFails.Inc()
+		if first == nil {
+			first = fmt.Errorf("rollback: slice %s on %s not released: %w", p.handle, p.node, err)
+		}
+	}
+	return first
+}
+
 // acquireSlice acquires one routed slice, taking at most one wrong_node
 // re-route to the owner the server names (safe: a wrong_node rejection
 // acquires nothing, so retrying elsewhere cannot double-acquire). Returns
 // the grant info and the node that actually granted.
-func (s *Session) acquireSlice(ctx context.Context, tb *traceBuilder, ids map[string]string, sl routeSlice) (GrantInfo, string, error) {
+func (s *Session) acquireSlice(ctx context.Context, tb *traceBuilder, sl routeSlice) (GrantInfo, string, error) {
 	node := sl.node
 	for attempt := 0; ; attempt++ {
-		id, ok := ids[node]
+		id, ok := s.ids[node]
 		if !ok {
 			return GrantInfo{}, node, fmt.Errorf("rnlp client: no session on node %q", node)
 		}
@@ -504,7 +547,7 @@ func (s *Session) acquireSlice(ctx context.Context, tb *traceBuilder, ids map[st
 		var info GrantInfo
 		err := s.c.post(ctx, node, "/v1/acquire", req, &info)
 		if tb != nil {
-			sp := Span{ID: spanID, Parent: tb.root.ID, Name: "wire", Node: node,
+			sp := Span{ID: spanID, Parent: tb.rootID(), Name: "wire", Node: node,
 				StartUnixNS: wireStart, EndUnixNS: time.Now().UnixNano()}
 			if err != nil {
 				sp.Attrs = map[string]string{"error": err.Error()}
@@ -552,18 +595,12 @@ func (s *Session) Release(g *Grant) error {
 		return ErrAlreadyReleased
 	}
 	start := time.Now()
-	s.mu.Lock()
-	ids := make(map[string]string, len(s.ids))
-	for n, id := range s.ids {
-		ids[n] = id
-	}
-	s.mu.Unlock()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	var firstErr error
 	for i := len(g.parts) - 1; i >= 0; i-- {
 		p := g.parts[i]
-		err := s.c.post(ctx, p.node, "/v1/release", ReleaseRequest{SessionID: ids[p.node], Handle: p.handle}, nil)
+		err := s.c.post(ctx, p.node, "/v1/release", ReleaseRequest{SessionID: s.ids[p.node], Handle: p.handle}, nil)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -571,7 +608,7 @@ func (s *Session) Release(g *Grant) error {
 	g.parts = nil
 	if g.tb != nil {
 		now := time.Now().UnixNano()
-		g.tb.add(Span{ID: newTraceID(), Parent: g.tb.root.ID, Name: "hold",
+		g.tb.add(Span{ID: newTraceID(), Parent: g.tb.rootID(), Name: "hold",
 			StartUnixNS: g.holdStart, EndUnixNS: now})
 		s.c.traces.add(g.tb.finish(now, nil))
 		g.tb = nil
@@ -588,7 +625,8 @@ func (c *Client) post(ctx context.Context, node, path string, in, out any) error
 	if !ok {
 		return fmt.Errorf("rnlp client: unknown node %q", node)
 	}
-	body, err := json.Marshal(in)
+	buf := wire.GetBuf()
+	body, err := appendRequest(*buf, in)
 	if err != nil {
 		return err
 	}
@@ -599,11 +637,17 @@ func (c *Client) post(ctx context.Context, node, path string, in, out any) error
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := c.hc.Do(req)
 	if err != nil {
+		// The transport may still be reading the body, so its buffer stays
+		// out of the pool.
 		c.metrics.nodeUnreach.Inc()
 		return &NodeUnreachableError{Node: node, Addr: addr, Err: err}
 	}
-	defer resp.Body.Close()
-	return decodeResponse(resp, out)
+	err = decodeResponse(resp, out)
+	resp.Body.Close()
+	// Closing the response body is what lets a request's body be reused.
+	*buf = body
+	wire.PutBuf(buf)
+	return err
 }
 
 // getJSON fetches a URL and decodes the JSON response.
@@ -651,9 +695,23 @@ func decodeResponse(resp *http.Response, out any) error {
 		}
 		return fmt.Errorf("rnlp client: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(buf)))
 	}
-	if out == nil {
+	switch out := out.(type) {
+	case nil:
 		_, _ = io.Copy(io.Discard, resp.Body)
 		return nil
+	case *GrantInfo:
+		buf := wire.GetBuf()
+		body, err := wire.ReadLimited(resp.Body, *buf, maxReply)
+		if err == nil {
+			err = unmarshalGrantInfo(body, out)
+		}
+		*buf = body
+		wire.PutBuf(buf)
+		return err
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
+
+// maxReply bounds a grant reply, as rnlpd bounds a request; a longer one is
+// cut there and fails to parse.
+const maxReply = 1 << 20

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -20,8 +21,10 @@ type fakeNode struct {
 	srv  *httptest.Server
 
 	acquires atomic.Int64
-	// acquire, when set, overrides the default always-grant behavior.
+	// acquire, when set, overrides the default always-grant behavior;
+	// release likewise the always-succeed one.
 	acquire func(req AcquireRequest, w http.ResponseWriter)
+	release func(w http.ResponseWriter)
 }
 
 func newFakeNode(t *testing.T, name string, spec *SpecInfo) *fakeNode {
@@ -43,6 +46,10 @@ func newFakeNode(t *testing.T, name string, spec *SpecInfo) *fakeNode {
 		writeTestJSON(w, struct{}{})
 	})
 	mux.HandleFunc("POST /v1/release", func(w http.ResponseWriter, r *http.Request) {
+		if n.release != nil {
+			n.release(w)
+			return
+		}
 		writeTestJSON(w, struct{}{})
 	})
 	mux.HandleFunc("POST /v1/acquire", func(w http.ResponseWriter, r *http.Request) {
@@ -316,6 +323,90 @@ func TestWrongNodeNoRerouteLoop(t *testing.T) {
 	}
 	if total := a.acquires.Load() + b.acquires.Load(); total != 2 {
 		t.Fatalf("%d acquire attempts, want exactly 2 (original + one re-route)", total)
+	}
+}
+
+// TestRollbackFailureSurfaces: when a cross-node acquisition fails on its
+// second node and the release of the slice already held on the first fails
+// too, that slice is stranded until its lease expires — the caller must be
+// told, and client_rollback_failures must count it. A first node that answers
+// "lease expired" has freed the slice itself: no failure.
+func TestRollbackFailureSurfaces(t *testing.T) {
+	spec := &SpecInfo{Resources: 8, LeaseTTLMS: 60_000}
+	for r := 0; r < spec.Resources; r++ {
+		spec.Components = append(spec.Components, []ResourceID{r})
+	}
+	a := newFakeNode(t, "", spec)
+	b := newFakeNode(t, "", spec)
+	a.name, b.name = a.srv.URL, b.srv.URL
+	spec.Nodes = []string{a.srv.URL, b.srv.URL}
+	nodes := map[string]*fakeNode{a.name: a, b.name: b}
+
+	ctx := context.Background()
+	c, err := New(ctx, []string{a.srv.URL, b.srv.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := c.OpenSession(ctx, WithoutKeepAlive())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+
+	// The two lowest resources on different nodes: the lower is acquired
+	// first, on `first`; the higher then fails on `second`.
+	lo, hi := 0, 1
+	for c.Placement().Owner(hi) == c.Placement().Owner(lo) {
+		if hi++; hi == spec.Resources {
+			t.Skip("placement put every component on one node")
+		}
+	}
+	first, second := nodes[c.Placement().Owner(lo)], nodes[c.Placement().Owner(hi)]
+	second.acquire = func(req AcquireRequest, w http.ResponseWriter) {
+		writeTestErr(w, http.StatusServiceUnavailable, ErrorBody{Code: CodeShuttingDown, Error: "draining"})
+	}
+
+	first.release = func(w http.ResponseWriter) {
+		writeTestErr(w, http.StatusConflict, ErrorBody{Code: CodeLeaseExpired, Error: "lease ran out"})
+	}
+	_, err = sess.Acquire(ctx, nil, []ResourceID{lo, hi})
+	if !errors.Is(err, ErrShuttingDown) || errors.Is(err, ErrLeaseExpired) {
+		t.Fatalf("err = %v, want ErrShuttingDown alone: the node had already freed the slice", err)
+	}
+	if got := c.MetricsSnapshot().Counters[MClientRollbackFails]; got != 0 {
+		t.Fatalf("client_rollback_failures = %d after a rollback the node had pre-empted, want 0", got)
+	}
+
+	first.release = func(w http.ResponseWriter) {
+		writeTestErr(w, http.StatusInternalServerError, ErrorBody{Code: "internal", Error: "disk on fire"})
+	}
+	_, err = sess.Acquire(ctx, nil, []ResourceID{lo, hi})
+	if !errors.Is(err, ErrShuttingDown) {
+		t.Fatalf("err = %v, want the acquisition's own failure (ErrShuttingDown) kept", err)
+	}
+	for _, want := range []string{"rollback", "h1", first.name, "disk on fire"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("err = %q, want it to name %q", err, want)
+		}
+	}
+	if got := c.MetricsSnapshot().Counters[MClientRollbackFails]; got != 1 {
+		t.Fatalf("client_rollback_failures = %d, want 1", got)
+	}
+	trs := c.Traces()
+	if len(trs) == 0 || !strings.Contains(trs[len(trs)-1].Err, "rollback") {
+		t.Errorf("the failed acquisition's trace does not record the stranded slice: %+v", trs)
+	}
+
+	mux := httptest.NewServer(c.DebugMux())
+	defer mux.Close()
+	resp, err := http.Get(mux.URL + "/metrics?format=text")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	text, _ := io.ReadAll(resp.Body)
+	if !strings.Contains(string(text), MClientRollbackFails) {
+		t.Errorf("DebugMux /metrics does not serve %s:\n%s", MClientRollbackFails, text)
 	}
 }
 

@@ -26,6 +26,9 @@ import (
 //	client_heartbeat_failures   heartbeats that returned an error
 //	client_lease_expired        operations that observed lease loss
 //	client_node_unreachable     transport-level node failures
+//	client_rollback_failures    releases that failed while rolling back a
+//	                            cross-node acquisition (a slice stranded
+//	                            until its lease expires)
 const (
 	MClientAcquireNS   = "client_acquire_ns"
 	MClientReleaseNS   = "client_release_ns"
@@ -37,6 +40,7 @@ const (
 	MClientHeartbeatFails  = "client_heartbeat_failures"
 	MClientLeaseExpired    = "client_lease_expired"
 	MClientNodeUnreachable = "client_node_unreachable"
+	MClientRollbackFails   = "client_rollback_failures"
 )
 
 // clientMetrics resolves every instrument once so operation paths never take
@@ -48,6 +52,7 @@ type clientMetrics struct {
 
 	acquires, acquireErrs, reroutes *obs.Counter
 	hbFails, leaseExp, nodeUnreach  *obs.Counter
+	rollbackFails                   *obs.Counter
 }
 
 func newClientMetrics() *clientMetrics {
@@ -63,6 +68,8 @@ func newClientMetrics() *clientMetrics {
 		hbFails:     reg.Counter(MClientHeartbeatFails),
 		leaseExp:    reg.Counter(MClientLeaseExpired),
 		nodeUnreach: reg.Counter(MClientNodeUnreachable),
+
+		rollbackFails: reg.Counter(MClientRollbackFails),
 	}
 }
 

@@ -1,14 +1,14 @@
 package client
 
 import (
-	"crypto/rand"
+	"cmp"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"io"
-	"sort"
+	"math/rand/v2"
+	"slices"
 	"sync"
-	"time"
 )
 
 // Distributed tracing (client side). Every Session.Acquire mints a trace ID
@@ -55,14 +55,15 @@ type Trace struct {
 	Spans []Span `json:"spans"`
 }
 
-// newTraceID mints a 64-bit random hex ID (16 chars). Randomness failures
-// degrade to a time-based ID rather than failing the acquisition.
+// newTraceID mints a 64-bit random hex ID (16 chars) from the runtime's
+// seeded generator: trace and span IDs must be unlikely to collide, not hard
+// to guess.
 func newTraceID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return fmt.Sprintf("t%015x", time.Now().UnixNano()&0xfffffffffffffff)
-	}
-	return hex.EncodeToString(b[:])
+	var raw [8]byte
+	binary.BigEndian.PutUint64(raw[:], rand.Uint64())
+	var b [16]byte
+	hex.Encode(b[:], raw[:])
+	return string(b[:])
 }
 
 // traceLogCap bounds the client's completed-trace ring.
@@ -75,7 +76,7 @@ type traceLog struct {
 }
 
 func (l *traceLog) add(t Trace) {
-	sort.SliceStable(t.Spans, func(i, j int) bool { return t.Spans[i].StartUnixNS < t.Spans[j].StartUnixNS })
+	slices.SortStableFunc(t.Spans, func(a, b Span) int { return cmp.Compare(a.StartUnixNS, b.StartUnixNS) })
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.traces = append(l.traces, t)
@@ -105,28 +106,30 @@ func (l *traceLog) byID(id string) (Trace, bool) {
 
 // traceBuilder accumulates one in-flight acquisition's spans. It is used by
 // a single goroutine (the acquiring one) until the grant, after which only
-// Release touches it.
+// Release touches it. The root "acquire" span is Spans[0] from the start.
 type traceBuilder struct {
 	trace Trace
-	root  Span
 }
 
 func newTraceBuilder(now int64) *traceBuilder {
-	return &traceBuilder{
-		trace: Trace{ID: newTraceID()},
-		root:  Span{ID: newTraceID(), Name: "acquire", StartUnixNS: now},
-	}
+	// Room for the spans of a one-node acquisition: root, queue, wire,
+	// admission, wait, hold.
+	spans := make([]Span, 1, 6)
+	spans[0] = Span{ID: newTraceID(), Name: "acquire", StartUnixNS: now}
+	return &traceBuilder{trace: Trace{ID: newTraceID(), Spans: spans}}
 }
+
+// rootID is the ID every client-side span hangs below.
+func (tb *traceBuilder) rootID() string { return tb.trace.Spans[0].ID }
 
 func (tb *traceBuilder) add(s Span) { tb.trace.Spans = append(tb.trace.Spans, s) }
 
 // finish closes the root span and returns the assembled trace.
 func (tb *traceBuilder) finish(now int64, err error) Trace {
-	tb.root.EndUnixNS = now
+	tb.trace.Spans[0].EndUnixNS = now
 	if err != nil {
 		tb.trace.Err = err.Error()
 	}
-	tb.trace.Spans = append([]Span{tb.root}, tb.trace.Spans...)
 	return tb.trace
 }
 

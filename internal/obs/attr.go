@@ -59,6 +59,11 @@ type BlockChain struct {
 	Parts           []DelayPart  `json:"parts"`
 	IssueBlockers   []core.ReqID `json:"issue_blockers,omitempty"`
 	EntitleBlockers []core.ReqID `json:"entitle_blockers,omitempty"`
+
+	// BlockerTags is set only on chains returned by ChainByTag: the tags of
+	// the wait-edge requests above, as Attributor.BlockerTags resolves them,
+	// read under the lock of that one lookup. Not serialized.
+	BlockerTags map[uint64]string `json:"-"`
 }
 
 func (c BlockChain) String() string {
@@ -94,7 +99,8 @@ type attrPending struct {
 }
 
 // attrRecentCap bounds how many completed chains the attributor retains for
-// transitive chain expansion in reports (FIFO eviction).
+// transitive chain expansion in reports and for the trace join (FIFO
+// eviction).
 const attrRecentCap = 4096
 
 // Attributor converts the RSM's event stream — including the Blockers wait
@@ -116,8 +122,18 @@ type Attributor struct {
 
 	pending map[core.ReqID]*attrPending
 
-	recent      map[core.ReqID]*BlockChain
-	recentOrder []core.ReqID
+	// ring holds the retained chains in satisfaction order: it grows to
+	// ringCap entries (attrRecentCap; tests shrink it), then head is the
+	// oldest chain and the next insert overwrites it. recent and byTag index the newest retained chain of a
+	// request ID and of a non-empty tag, so Chain and ChainByTag cost one map
+	// lookup however full the ring is. Eviction is FIFO, so when the chain
+	// an index entry points at leaves the ring no older chain with that key
+	// can remain, and the entry is dropped.
+	ring    []*BlockChain
+	head    int
+	ringCap int
+	recent  map[core.ReqID]*BlockChain
+	byTag   map[string]*BlockChain
 
 	top []*BlockChain
 	k   int
@@ -139,7 +155,9 @@ func NewAttributor(m *Metrics, topK int) *Attributor {
 		wPhase:     m.Histogram(AttrWriterReadPhase),
 		immediate:  m.Counter(AttrImmediate),
 		pending:    map[core.ReqID]*attrPending{},
+		ringCap:    attrRecentCap,
 		recent:     map[core.ReqID]*BlockChain{},
+		byTag:      map[string]*BlockChain{},
 		k:          topK,
 	}
 }
@@ -212,8 +230,12 @@ func (a *Attributor) attribute(e core.Event, p *attrPending) {
 		IssueBlockers:   p.issueBlockers,
 		EntitleBlockers: p.entitleBlockers,
 	}
-	if p.tag != nil {
-		c.Tag = fmt.Sprint(p.tag)
+	switch tag := p.tag.(type) {
+	case nil:
+	case string:
+		c.Tag = tag
+	default:
+		c.Tag = fmt.Sprint(tag)
 	}
 
 	if delay == 0 {
@@ -263,17 +285,25 @@ func (a *Attributor) attribute(e core.Event, p *attrPending) {
 	a.rank(c)
 }
 
-// remember stores the chain for transitive expansion, evicting FIFO past the
-// cap. Caller holds a.mu.
+// remember stores the chain for transitive expansion and the trace join,
+// evicting FIFO past the cap. Caller holds a.mu.
 func (a *Attributor) remember(c *BlockChain) {
-	if _, ok := a.recent[c.Req]; !ok {
-		a.recentOrder = append(a.recentOrder, c.Req)
+	if len(a.ring) < a.ringCap {
+		a.ring = append(a.ring, c)
+	} else {
+		old := a.ring[a.head]
+		if a.recent[old.Req] == old {
+			delete(a.recent, old.Req)
+		}
+		if old.Tag != "" && a.byTag[old.Tag] == old {
+			delete(a.byTag, old.Tag)
+		}
+		a.ring[a.head] = c
+		a.head = (a.head + 1) % a.ringCap
 	}
 	a.recent[c.Req] = c
-	for len(a.recentOrder) > attrRecentCap {
-		old := a.recentOrder[0]
-		a.recentOrder = a.recentOrder[1:]
-		delete(a.recent, old)
+	if c.Tag != "" {
+		a.byTag[c.Tag] = c
 	}
 }
 
@@ -303,21 +333,50 @@ func (a *Attributor) Chain(id core.ReqID) (BlockChain, bool) {
 }
 
 // ChainByTag returns the most recently satisfied retained chain whose Tag
-// matches, scanning newest-first. This is the server tier's join from a
-// distributed trace ID to the shard-level delay decomposition of the request
-// that carried it.
+// matches, with BlockerTags resolved under the same lock. This is the server
+// tier's join from a distributed trace ID to the shard-level delay
+// decomposition of the request that carried it; hit or miss, it costs one
+// index lookup.
 func (a *Attributor) ChainByTag(tag string) (BlockChain, bool) {
 	if tag == "" {
 		return BlockChain{}, false
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for i := len(a.recentOrder) - 1; i >= 0; i-- {
-		if c := a.recent[a.recentOrder[i]]; c != nil && c.Tag == tag {
-			return *c, true
+	c := a.byTag[tag]
+	if c == nil {
+		return BlockChain{}, false
+	}
+	out := *c
+	out.BlockerTags = a.blockerTags(c)
+	return out, true
+}
+
+// BlockerTags resolves the tags of a chain's blockers: reqID → tag for every
+// request on the chain's issue/entitle wait edges whose own chain is still
+// retained and carried a tag. Blockers that were untagged, fast-path hits, or
+// already evicted are absent.
+func (a *Attributor) BlockerTags(c BlockChain) map[uint64]string {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.blockerTags(&c)
+}
+
+// blockerTags is BlockerTags on a retained or copied chain. Caller holds
+// a.mu.
+func (a *Attributor) blockerTags(c *BlockChain) map[uint64]string {
+	var out map[uint64]string
+	for _, ids := range [2][]core.ReqID{c.IssueBlockers, c.EntitleBlockers} {
+		for _, id := range ids {
+			if bc := a.recent[id]; bc != nil && bc.Tag != "" {
+				if out == nil {
+					out = make(map[uint64]string)
+				}
+				out[uint64(id)] = bc.Tag
+			}
 		}
 	}
-	return BlockChain{}, false
+	return out
 }
 
 // AttributionReport is the attributor's summary: totals per delay component

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -213,5 +215,225 @@ func TestAttributorUpgradeRestart(t *testing.T) {
 	}
 	if sum != c.Delay {
 		t.Errorf("parts sum %d != delay %d", sum, c.Delay)
+	}
+}
+
+// satisfyNow feeds the attributor one request's whole lifecycle, satisfied at
+// issuance, so exactly one chain is remembered.
+func satisfyNow(a *Attributor, id core.ReqID, tag any) {
+	a.Observe(core.Event{Type: core.EvIssued, T: 1, Req: id, Kind: core.KindWrite, Tag: tag})
+	a.Observe(core.Event{Type: core.EvSatisfied, T: 1, Req: id})
+	a.Observe(core.Event{Type: core.EvCompleted, T: 2, Req: id})
+}
+
+// scanRing is the reference the index replaced: the retained chains are the
+// last ringCap inserted, searched newest-first.
+type scanRing struct {
+	ringCap int
+	reqs    []core.ReqID
+	tags    []string
+}
+
+func (r *scanRing) insert(id core.ReqID, tag string) {
+	r.reqs, r.tags = append(r.reqs, id), append(r.tags, tag)
+	if len(r.reqs) > r.ringCap {
+		r.reqs, r.tags = r.reqs[1:], r.tags[1:]
+	}
+}
+
+func (r *scanRing) byTag(tag string) (core.ReqID, bool) {
+	for i := len(r.tags) - 1; i >= 0 && tag != ""; i-- {
+		if r.tags[i] == tag {
+			return r.reqs[i], true
+		}
+	}
+	return 0, false
+}
+
+func (r *scanRing) byReq(id core.ReqID) (string, bool) {
+	for i := len(r.reqs) - 1; i >= 0; i-- {
+		if r.reqs[i] == id {
+			return r.tags[i], true
+		}
+	}
+	return "", false
+}
+
+// checkAgainstScan compares the indexed lookups with the reference for one
+// tag and one request ID.
+func checkAgainstScan(t *testing.T, a *Attributor, ref *scanRing, tag string, id core.ReqID) {
+	t.Helper()
+	wantReq, wantOK := ref.byTag(tag)
+	c, ok := a.ChainByTag(tag)
+	if ok != wantOK || (ok && (c.Req != wantReq || c.Tag != tag)) {
+		t.Fatalf("ChainByTag(%q) = req %d tag %q ok=%v, linear scan says req %d ok=%v",
+			tag, c.Req, c.Tag, ok, wantReq, wantOK)
+	}
+	wantTag, wantOK := ref.byReq(id)
+	c, ok = a.Chain(id)
+	if ok != wantOK || (ok && (c.Req != id || c.Tag != wantTag)) {
+		t.Fatalf("Chain(%d) = req %d tag %q ok=%v, linear scan says tag %q ok=%v",
+			id, c.Req, c.Tag, ok, wantTag, wantOK)
+	}
+}
+
+// TestChainByTagCases pins the lookups the service tier depends on, on a
+// four-chain ring.
+func TestChainByTagCases(t *testing.T) {
+	a := NewAttributor(NewMetrics(), 1)
+	a.ringCap = 4
+	lookup := func(tag string) core.ReqID {
+		c, ok := a.ChainByTag(tag)
+		if !ok {
+			return 0
+		}
+		return c.Req
+	}
+
+	satisfyNow(a, 1, "x")
+	satisfyNow(a, 2, nil)
+	satisfyNow(a, 3, "x")
+	satisfyNow(a, 4, 7) // non-string tags are stringified once, at satisfaction
+	if got := lookup("x"); got != 3 {
+		t.Errorf("newest of duplicates: ChainByTag(x) = %d, want 3", got)
+	}
+	if got := lookup("7"); got != 4 {
+		t.Errorf("hit: ChainByTag(7) = %d, want 4", got)
+	}
+	if got := lookup("never"); got != 0 {
+		t.Errorf("miss: ChainByTag(never) = %d, want none", got)
+	}
+	if got := lookup(""); got != 0 {
+		t.Errorf("untagged chains must not be reachable by the empty tag, got %d", got)
+	}
+
+	// Evicting the older duplicate must leave the newer one indexed.
+	satisfyNow(a, 5, "y")
+	if got := lookup("x"); got != 3 {
+		t.Errorf("after evicting req 1: ChainByTag(x) = %d, want 3", got)
+	}
+	// Evicting a tag's newest chain empties the tag: FIFO order means no
+	// older chain with it can still be retained.
+	satisfyNow(a, 6, nil)
+	satisfyNow(a, 7, nil)
+	if got := lookup("x"); got != 0 {
+		t.Errorf("evicted: ChainByTag(x) = %d, want none", got)
+	}
+	if _, ok := a.Chain(3); ok {
+		t.Error("evicted: Chain(3) still retained")
+	}
+	if len(a.byTag) != 2 || len(a.recent) != 4 || len(a.ring) != 4 {
+		t.Errorf("index sizes: byTag=%d recent=%d ring=%d, want 2/4/4 (tags 7 and y; four chains)",
+			len(a.byTag), len(a.recent), len(a.ring))
+	}
+}
+
+// TestChainByTagMatchesLinearScan is the index-vs-scan property test: random
+// tagged, untagged, duplicate-tag and duplicate-ID chains are driven past the
+// ring capacity, and after every insert the indexed lookups must agree with a
+// newest-first linear scan of the retained chains.
+func TestChainByTagMatchesLinearScan(t *testing.T) {
+	sequences := 10000
+	if testing.Short() {
+		sequences = 1000
+	}
+	rng := rand.New(rand.NewSource(42))
+	for seq := 0; seq < sequences; seq++ {
+		a := NewAttributor(NewMetrics(), 1)
+		a.ringCap = 1 + rng.Intn(12)
+		ref := &scanRing{ringCap: a.ringCap}
+		tags := 1 + rng.Intn(6)
+		for n, next := 3*a.ringCap+rng.Intn(8), core.ReqID(0); n > 0; n-- {
+			id, tag := next+1, ""
+			if next > 0 && rng.Intn(16) == 0 {
+				id = 1 + core.ReqID(rng.Intn(int(next))) // a request ID seen before
+			} else {
+				next++
+			}
+			if rng.Intn(4) > 0 {
+				tag = string(rune('a' + rng.Intn(tags)))
+			}
+			if tag == "" {
+				satisfyNow(a, id, nil)
+			} else {
+				satisfyNow(a, id, tag)
+			}
+			ref.insert(id, tag)
+			for k := 0; k <= tags; k++ { // every tag in use, and one that never is
+				checkAgainstScan(t, a, ref, string(rune('a'+k)), 1+core.ReqID(rng.Intn(int(next))))
+			}
+		}
+		if len(a.ring) > a.ringCap || len(a.recent) > a.ringCap || len(a.byTag) > a.ringCap {
+			t.Fatalf("ring=%d recent=%d byTag=%d exceed cap %d", len(a.ring), len(a.recent), len(a.byTag), a.ringCap)
+		}
+	}
+
+	// One sequence at the real capacity: unique trace-like tags with a few
+	// repeats, one and a half times round the ring.
+	a := NewAttributor(NewMetrics(), 1)
+	ref := &scanRing{ringCap: attrRecentCap}
+	for i := 1; i <= attrRecentCap+attrRecentCap/2; i++ {
+		tag := "t" + strconv.Itoa(i-i%3) // runs of up to three share a tag
+		satisfyNow(a, core.ReqID(i), tag)
+		ref.insert(core.ReqID(i), tag)
+		checkAgainstScan(t, a, ref, tag, core.ReqID(i))
+		old := 1 + rng.Intn(i)
+		checkAgainstScan(t, a, ref, "t"+strconv.Itoa(old), core.ReqID(old))
+	}
+}
+
+// TestChainByTagResolvesBlockerTags: the trace join returns the blockers' own
+// tags with the chain, from the one locked lookup.
+func TestChainByTagResolvesBlockerTags(t *testing.T) {
+	a := NewAttributor(NewMetrics(), 4)
+	rsm := core.NewRSM(core.NewSpecBuilder(1).Build(), core.Options{})
+	rsm.SetObserver(a)
+	w, err := rsm.Issue(1, nil, []core.ResourceID{0}, "trace-w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := rsm.Issue(2, []core.ResourceID{0}, nil, "trace-r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rsm.Complete(5, w); err != nil {
+		t.Fatal(err)
+	}
+	c, ok := a.ChainByTag("trace-r")
+	if !ok || c.Req != r {
+		t.Fatalf("ChainByTag(trace-r) = %+v, %v; want req %d", c, ok, r)
+	}
+	want := map[uint64]string{uint64(w): "trace-w"}
+	if !reflect.DeepEqual(c.BlockerTags, want) {
+		t.Errorf("chain BlockerTags = %v, want %v", c.BlockerTags, want)
+	}
+	if got := a.BlockerTags(c); !reflect.DeepEqual(got, want) {
+		t.Errorf("BlockerTags(chain) = %v, want %v", got, want)
+	}
+	if c, _ := a.Chain(r); c.BlockerTags != nil {
+		t.Errorf("Chain must not resolve blocker tags, got %v", c.BlockerTags)
+	}
+}
+
+// BenchmarkChainByTag prices the trace join on a nearly empty and on a full
+// ring: a hit on the oldest retained chain (the linear scan's worst case) and
+// a miss (the common case — a traced acquire that took a fast path). Both must
+// be flat in ring occupancy, and a miss must not allocate.
+func BenchmarkChainByTag(b *testing.B) {
+	for _, fill := range []int{64, attrRecentCap} {
+		a := NewAttributor(NewMetrics(), 10)
+		for i := 1; i <= fill; i++ {
+			satisfyNow(a, core.ReqID(i), "trace-"+strconv.Itoa(i))
+		}
+		for _, bc := range []struct{ name, tag string }{{"hit", "trace-1"}, {"miss", "trace-0"}} {
+			b.Run("ring="+strconv.Itoa(fill)+"/"+bc.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, ok := a.ChainByTag(bc.tag); ok != (bc.name == "hit") {
+						b.Fatalf("ChainByTag(%s) ok=%v", bc.tag, ok)
+					}
+				}
+			})
+		}
 	}
 }

@@ -18,9 +18,10 @@ import (
 //   - the registry's shard-labeled names ("shard_acquires{shard=3}") become
 //     proper labels: rwrnlp_shard_acquires{shard="3"};
 //   - counters and gauges map 1:1;
-//   - histograms expose cumulative _bucket series over the registry's log2
-//     bucket bounds (only non-empty buckets are materialized, plus +Inf),
-//     with _sum and _count.
+//   - histograms expose cumulative _bucket series over the registry's
+//     log-linear (HDR-style) bucket bounds — 16 equal-width sub-buckets per
+//     power of two, see metrics.go — of which only the non-empty ones are
+//     materialized, plus +Inf, with _sum and _count.
 
 // PrometheusContentType is the Content-Type of the 0.0.4 text format.
 const PrometheusContentType = "text/plain; version=0.0.4; charset=utf-8"

@@ -3,9 +3,11 @@ package service
 import (
 	"context"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
+	"github.com/rtsync/rwrnlp"
 	"github.com/rtsync/rwrnlp/client"
 )
 
@@ -17,7 +19,17 @@ import (
 //	net=off  direct Server method calls in-process
 //	net=on   client package → JSON over loopback HTTP → same Server
 //
-// Gated by `make net-overhead` (see NET_THRESHOLD in the Makefile).
+// A third leg prices the hop as cmd/rnlpd actually runs it:
+//
+//	net=on,obs=rnlpd  net=on with the daemon's observability options and a
+//	                  full attribution ring
+//
+// Every traced acquire joins its trace ID to the attribution ring, so a join
+// whose cost grew with ring occupancy (it once scanned all 4096 chains, and
+// took a third of the daemon's throughput) shows here and in no other pair.
+//
+// Gated by `make net-overhead` (see NET_THRESHOLD and NET_OBS_THRESHOLD in
+// the Makefile).
 func BenchmarkAcquireRelease(b *testing.B) {
 	ctx := context.Background()
 
@@ -44,12 +56,7 @@ func BenchmarkAcquireRelease(b *testing.B) {
 		}
 	})
 
-	b.Run("net=on", func(b *testing.B) {
-		srv, err := NewServer(Config{Spec: testSpec(b, 4), LeaseTTL: time.Minute})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer srv.Close()
+	overHTTP := func(b *testing.B, srv *Server) {
 		hs := httptest.NewServer(srv.Handler())
 		defer hs.Close()
 		c, err := client.New(ctx, []string{hs.URL})
@@ -71,5 +78,45 @@ func BenchmarkAcquireRelease(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+
+	b.Run("net=on", func(b *testing.B) {
+		srv, err := NewServer(Config{Spec: testSpec(b, 4), LeaseTTL: time.Minute})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer srv.Close()
+		overHTTP(b, srv)
+	})
+
+	b.Run("net=on,obs=rnlpd", func(b *testing.B) {
+		srv, err := NewServer(Config{Spec: testSpec(b, 4), LeaseTTL: time.Minute, Options: []rwrnlp.Option{
+			rwrnlp.WithMetrics(), rwrnlp.WithFlightRecorder(4096),
+			rwrnlp.WithTimeSeries(time.Second, 0), rwrnlp.WithAttribution(10),
+		}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer srv.Close()
+		// Fill the attribution ring (4096 chains). Only requests that go
+		// through an RSM leave a chain, and a footprint spanning two
+		// components always does — one chain per component.
+		info, err := srv.OpenSession(time.Minute)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < 4096/2; i++ {
+			g, err := srv.AcquireTraced(ctx, info.ID, nil, []client.ResourceID{0, 2}, "prefill-"+strconv.Itoa(i), "")
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := srv.Release(info.ID, g.Handle); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, ok := srv.Protocol().ChainByTag("prefill-0"); !ok {
+			b.Fatal("attribution ring not filled: the oldest prefill chain is missing")
+		}
+		overHTTP(b, srv)
 	})
 }

@@ -10,6 +10,7 @@ import (
 
 	"github.com/rtsync/rwrnlp"
 	"github.com/rtsync/rwrnlp/client"
+	"github.com/rtsync/rwrnlp/internal/wire"
 )
 
 // Handler mounts the service API and the protocol's full debug surface:
@@ -98,12 +99,36 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// jsonContentType is shared by the hot replies: net/http only reads it.
+var jsonContentType = []string{"application/json"}
+
+// writeGrant and writeEmpty are writeJSON for the acquire/release hop's two
+// replies, byte for byte, without the encoder.
+func writeGrant(w http.ResponseWriter, info *client.GrantInfo) {
+	w.Header()["Content-Type"] = jsonContentType
+	buf := wire.GetBuf()
+	*buf = appendGrantInfo(*buf, info)
+	_, _ = w.Write(*buf)
+	wire.PutBuf(buf)
+}
+
+func writeEmpty(w http.ResponseWriter) {
+	w.Header()["Content-Type"] = jsonContentType
+	_, _ = io.WriteString(w, emptyReply)
+}
+
+// maxBody bounds a request body; a longer one is cut there and fails to parse.
+const maxBody = 1 << 20
+
 // decode reads one bounded JSON body.
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	buf := wire.GetBuf()
+	body, err := wire.ReadLimited(r.Body, *buf, maxBody)
 	if err == nil {
-		err = json.Unmarshal(body, v)
+		err = unmarshal(body, v)
 	}
+	*buf = body
+	wire.PutBuf(buf)
 	if err != nil {
 		writeErr(w, err)
 		return false
@@ -146,7 +171,7 @@ func (s *Server) handleCloseSession(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, struct{}{})
+	writeEmpty(w)
 }
 
 func (s *Server) handleAcquire(w http.ResponseWriter, r *http.Request) {
@@ -159,7 +184,7 @@ func (s *Server) handleAcquire(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, info)
+	writeGrant(w, &info)
 }
 
 func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
@@ -171,7 +196,7 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, struct{}{})
+	writeEmpty(w)
 }
 
 func (s *Server) handleFence(w http.ResponseWriter, r *http.Request) {
@@ -183,7 +208,7 @@ func (s *Server) handleFence(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, struct{}{})
+	writeEmpty(w)
 }
 
 func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request) {

@@ -28,6 +28,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -379,12 +380,12 @@ func (s *Server) releaseGrant(g *grant) error {
 	return s.p.Release(g.tok)
 }
 
-// componentsOf returns the sorted distinct components of a footprint and
-// checks placement: every component must be owned by this node.
+// componentsOf returns the ascending distinct components of a footprint —
+// the fencing list's order — and checks placement: every component must be
+// owned by this node.
 func (s *Server) componentsOf(read, write []client.ResourceID) ([]int, error) {
 	spec := s.cfg.Spec
 	q := spec.NumResources()
-	seen := map[int]bool{}
 	var comps []int
 	for _, ids := range [2][]client.ResourceID{read, write} {
 		for _, r := range ids {
@@ -392,9 +393,10 @@ func (s *Server) componentsOf(read, write []client.ResourceID) ([]int, error) {
 				return nil, fmt.Errorf("%w: resource %d not in [0,%d)", rwrnlp.ErrUnknownResource, r, q)
 			}
 			c := spec.Component(rwrnlp.ResourceID(r))
-			if !seen[c] {
-				seen[c] = true
-				comps = append(comps, c)
+			// A footprint spans a handful of components: sorted insertion
+			// into the slice beats a set.
+			if i, found := slices.BinarySearch(comps, c); !found {
+				comps = slices.Insert(comps, i, c)
 			}
 		}
 	}
@@ -406,14 +408,45 @@ func (s *Server) componentsOf(read, write []client.ResourceID) ([]int, error) {
 			return nil, &errWrongNode{component: c, owner: s.place.Owner(c)}
 		}
 	}
-	// Insertion order already follows first appearance; sort for the
-	// fencing list's ascending-component contract.
-	for i := 1; i < len(comps); i++ {
-		for j := i; j > 0 && comps[j] < comps[j-1]; j-- {
-			comps[j], comps[j-1] = comps[j-1], comps[j]
-		}
-	}
 	return comps, nil
+}
+
+// acquireCtx is the one context an acquisition runs under: the transport
+// context (whose values, the trace tag among them, it passes through), ended
+// also by the session's lease context and by AcquireTimeout. The runtime
+// consults a context's cancellation only when it has to park, so nothing is
+// derived or registered until then — an acquire that is granted without
+// blocking pays for this struct alone — and the timeout runs from that
+// moment, which is when the handler starts to block.
+type acquireCtx struct {
+	context.Context                 // transport
+	sess            context.Context // lease: expiry or shutdown withdraws the request
+	timeout         time.Duration
+
+	once   sync.Once
+	armed  context.Context
+	cancel context.CancelFunc
+	stop   func() bool
+}
+
+func (c *acquireCtx) arm() {
+	c.once.Do(func() {
+		c.armed, c.cancel = context.WithTimeout(c.Context, c.timeout)
+		c.stop = context.AfterFunc(c.sess, c.cancel)
+	})
+}
+
+func (c *acquireCtx) Deadline() (time.Time, bool) { c.arm(); return c.armed.Deadline() }
+func (c *acquireCtx) Done() <-chan struct{}       { c.arm(); return c.armed.Done() }
+func (c *acquireCtx) Err() error                  { c.arm(); return c.armed.Err() }
+
+// release frees what arm registered, if it ran. Call it once the acquisition
+// has returned, on the goroutine that ran it.
+func (c *acquireCtx) release() {
+	if c.cancel != nil {
+		c.stop()
+		c.cancel()
+	}
 }
 
 // Acquire blocks until the session holds the footprint, then registers the
@@ -432,7 +465,7 @@ func (s *Server) Acquire(ctx context.Context, sessionID string, read, write []cl
 // runtime acquisition), the latter annotated with the Attributor's delay
 // decomposition and the trace IDs of the requests it waited behind.
 func (s *Server) AcquireTraced(ctx context.Context, sessionID string, read, write []client.ResourceID, traceID, parentSpan string) (client.GrantInfo, error) {
-	admStart := time.Now().UnixNano()
+	admStart := s.cfg.now().UnixNano()
 	if s.closed.Load() {
 		return client.GrantInfo{}, ErrShuttingDown
 	}
@@ -450,26 +483,19 @@ func (s *Server) AcquireTraced(ctx context.Context, sessionID string, read, writ
 	if traceID != "" {
 		ctx = rwrnlp.ContextWithTag(ctx, traceID)
 	}
-	ctx, cancelTimeout := context.WithTimeout(ctx, s.cfg.AcquireTimeout)
-	defer cancelTimeout()
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	// Lease expiry (or shutdown) withdraws the pending request through the
-	// protocol's own cancel path.
-	stop := context.AfterFunc(sess.ctx, cancel)
-	defer stop()
+	actx := &acquireCtx{Context: ctx, sess: sess.ctx, timeout: s.cfg.AcquireTimeout}
+	defer actx.release()
 
-	rids := make([]rwrnlp.ResourceID, len(read))
+	ids := make([]rwrnlp.ResourceID, len(read)+len(write))
 	for i, r := range read {
-		rids[i] = rwrnlp.ResourceID(r)
+		ids[i] = rwrnlp.ResourceID(r)
 	}
-	wids := make([]rwrnlp.ResourceID, len(write))
 	for i, r := range write {
-		wids[i] = rwrnlp.ResourceID(r)
+		ids[len(read)+i] = rwrnlp.ResourceID(r)
 	}
-	waitStart := time.Now().UnixNano()
-	tok, err := s.p.Acquire(ctx, rids, wids)
-	waitEnd := time.Now().UnixNano()
+	waitStart := s.cfg.now().UnixNano()
+	tok, err := s.p.Acquire(actx, ids[:len(read):len(read)], ids[len(read):])
+	waitEnd := s.cfg.now().UnixNano()
 	if err != nil {
 		if sess.ctx.Err() != nil {
 			if s.closed.Load() {
@@ -509,6 +535,10 @@ func (s *Server) AcquireTraced(ctx context.Context, sessionID string, read, writ
 	return info, nil
 }
 
+// untrackedAttrs is the wait span's attributes on the common path, shared by
+// every such span: read it, never write it.
+var untrackedAttrs = map[string]string{"path": "untracked"}
+
 // waitAttrs joins the trace ID back to the Attributor's decomposition of the
 // runtime wait: total delay and its per-cause parts (logical shard ticks), the
 // wait edges (blocker request IDs), and the trace IDs of any blockers whose
@@ -518,7 +548,7 @@ func (s *Server) AcquireTraced(ctx context.Context, sessionID string, read, writ
 func (s *Server) waitAttrs(traceID string) map[string]string {
 	c, ok := s.p.ChainByTag(traceID)
 	if !ok {
-		return map[string]string{"path": "untracked"}
+		return untrackedAttrs
 	}
 	attrs := map[string]string{
 		"req":         strconv.FormatUint(uint64(c.Req), 10),
@@ -543,7 +573,7 @@ func (s *Server) waitAttrs(traceID string) map[string]string {
 	if len(c.EntitleBlockers) > 0 {
 		attrs["entitle_blockers"] = fmtIDs(c.EntitleBlockers)
 	}
-	for id, tag := range s.p.BlockerTags(c) {
+	for id, tag := range c.BlockerTags {
 		attrs["blocker_trace_"+strconv.FormatUint(id, 10)] = tag
 	}
 	return attrs

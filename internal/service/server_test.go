@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -429,5 +430,84 @@ func TestDebugSurfaceMounted(t *testing.T) {
 		if resp != 200 {
 			t.Fatalf("GET %s: status %d, want 200", path, resp)
 		}
+	}
+}
+
+// TestAcquireTracedSpansUseInjectedClock: the admission and wait spans read
+// the clock the leases read, so the whole plane can run under one simulated
+// clock. The fake steps a second per reading from an epoch decades away from
+// the wall clock, so a single time.Now() left in the path cannot pass.
+func TestAcquireTracedSpansUseInjectedClock(t *testing.T) {
+	epoch := time.Unix(1_000_000, 0)
+	var readings atomic.Int64
+	srv, err := NewServer(Config{
+		Spec: testSpec(t, 4), LeaseTTL: time.Hour,
+		now: func() time.Time { return epoch.Add(time.Duration(readings.Add(1)) * time.Second) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	sess, err := srv.OpenSession(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := readings.Load()
+	g, err := srv.AcquireTraced(context.Background(), sess.ID, nil, []client.ResourceID{0}, "trace-1", "span-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := readings.Load()
+	if len(g.Spans) != 2 || g.Spans[0].Name != "admission" || g.Spans[1].Name != "wait" {
+		t.Fatalf("spans = %+v, want admission and wait", g.Spans)
+	}
+	adm, wait := g.Spans[0], g.Spans[1]
+	stamps := []int64{adm.StartUnixNS, adm.EndUnixNS, wait.StartUnixNS, wait.EndUnixNS}
+	for i, ns := range stamps {
+		off := time.Duration(ns - epoch.UnixNano())
+		if off%time.Second != 0 || off <= time.Duration(before)*time.Second || off > time.Duration(after)*time.Second {
+			t.Errorf("span timestamp %d = epoch%+v, want a reading of the injected clock in (%ds, %ds]", i, off, before, after)
+		}
+	}
+	if !(adm.StartUnixNS < adm.EndUnixNS && adm.EndUnixNS == wait.StartUnixNS && wait.StartUnixNS < wait.EndUnixNS) {
+		t.Errorf("spans out of order: admission [%d, %d], wait [%d, %d]", stamps[0], stamps[1], stamps[2], stamps[3])
+	}
+}
+
+// TestAcquireTimeoutBoundsABlockedAcquire: the single acquire context still
+// enforces AcquireTimeout on a request that has to park, and a granted one
+// registers nothing on its session.
+func TestAcquireTimeoutBoundsABlockedAcquire(t *testing.T) {
+	srv, err := NewServer(Config{Spec: testSpec(t, 4), LeaseTTL: time.Minute, AcquireTimeout: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	holder, err := srv.OpenSession(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waiter, err := srv.OpenSession(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := srv.Acquire(context.Background(), holder.ID, nil, []client.ResourceID{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := srv.Acquire(context.Background(), waiter.ID, nil, []client.ResourceID{0}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("blocked acquire returned %v after %v, want context.DeadlineExceeded", err, time.Since(start))
+	}
+	if err := srv.Release(holder.ID, g.Handle); err != nil {
+		t.Fatal(err)
+	}
+	// The withdrawn request left nothing behind: the resource is free again.
+	g, err = srv.Acquire(context.Background(), waiter.ID, nil, []client.ResourceID{0})
+	if err != nil {
+		t.Fatalf("acquire after the timed-out one: %v", err)
+	}
+	if err := srv.Release(waiter.ID, g.Handle); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -524,7 +524,9 @@ func TagFromContext(ctx context.Context) any {
 // carried the given tag (see ContextWithTag), with spans in logical shard
 // ticks. It reports false when WithAttribution was not set, the tag was never
 // seen, or its chain has been evicted — including when the tagged acquisition
-// was a fast-path hit, which never reaches the attributor.
+// was a fast-path hit, which never reaches the attributor. The returned
+// chain's BlockerTags field holds what BlockerTags would resolve for it, read
+// under the same lock as the lookup.
 func (p *Protocol) ChainByTag(tag string) (BlockChain, bool) {
 	if p.attr == nil {
 		return BlockChain{}, false
@@ -541,21 +543,7 @@ func (p *Protocol) BlockerTags(c BlockChain) map[uint64]string {
 	if p.attr == nil {
 		return nil
 	}
-	var out map[uint64]string
-	for _, ids := range [2][]core.ReqID{c.IssueBlockers, c.EntitleBlockers} {
-		for _, id := range ids {
-			if _, ok := out[uint64(id)]; ok {
-				continue
-			}
-			if bc, ok := p.attr.Chain(id); ok && bc.Tag != "" {
-				if out == nil {
-					out = make(map[uint64]string)
-				}
-				out[uint64(id)] = bc.Tag
-			}
-		}
-	}
-	return out
+	return p.attr.BlockerTags(c)
 }
 
 // Acquire blocks until read access to every resource in read and write
