@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-json bench-check fuzz fuzz-smoke mccheck experiments schedstudy examples fmt vet staticcheck api api-check ci obs-race telemetry-race park-race flight-overhead hdr-overhead wfast-overhead slots-overhead park-overhead net-overhead trace-overhead bench-harness-test rnlpd-integration cluster-integration soak clean
+.PHONY: all build test test-short race cover bench bench-json bench-check fuzz fuzz-smoke mccheck experiments schedstudy examples fmt vet staticcheck api api-check ci obs-race telemetry-race park-race pair-gates bench-harness-test rnlpd-integration cluster-integration soak clean
 
 all: build vet test
 
@@ -30,13 +30,14 @@ ci:
 
 # Parking state machine under the race detector, un-shortened: the waiter
 # CAS transitions, the batched-release wakeup accounting (one wake per
-# entitled grant), the signal-vs-ctx-cancel storm in both parking modes, and
-# the signal-to-wake latency bound.
+# entitled grant), the signal-vs-ctx-cancel storm, the signal-to-wake latency
+# bound, and the request-lifecycle balance table (every blocking entry point
+# through every exit path, 200 cancel-vs-signal races each).
 park-race:
-	$(GO) test -race -count=1 -run 'TestWaiterStateMachine|TestParkWakeupAccounting|TestParkSignalCancelStorm|TestParkSignalToWakeLatency|TestParkChanAblationMode' .
+	$(GO) test -race -count=1 -run 'TestWaiterStateMachine|TestParkWakeupAccounting|TestParkSignalCancelStorm|TestParkSignalToWakeLatency|TestRequestLifecycleBalance' .
 
 # Observability plane under the race detector, explicitly and un-shortened:
-# attribution, flight recorder, watchdog, Prometheus exposition, and the
+# attribution, flight recorder, watchdog, OpenMetrics exposition, and the
 # root-package regression tests that drive the sharded lock with the fast
 # path on while scraping the debug endpoints.
 obs-race:
@@ -51,116 +52,14 @@ telemetry-race:
 	$(GO) test -race -count=1 -run 'TestExemplarLoopEndToEnd|TestTelemetryEndpointsConcurrentWithWorkload' .
 	$(GO) test -race -count=1 ./cmd/rnlptop
 
-# Flight-recorder overhead gate: measure the BenchmarkAcquire ablation pair
-# in one run and fail if flight=on costs more than FLIGHT_THRESHOLD percent
-# over flight=off. (The flight=off variant IS the PR 4 baseline shape; the
-# disabled hook is a nil check, so off-vs-baseline drift shows up in the
-# regular bench-check gate instead.) -count=5 and benchjson's min-merge make
-# each side the minimum of five interleaved runs — single-run pairs on shared
-# runners have shown inversions larger than the real effect (see the pair
-# protocol note atop cmd/benchjson).
-FLIGHT_THRESHOLD ?= 100
-flight-overhead:
-	$(GO) test -bench 'BenchmarkAcquire/flight' -benchtime=0.3s -count=5 -run='^$$' . | $(GO) run ./cmd/benchjson -o flight_pair.json
-	$(GO) run ./cmd/benchjson pair -threshold $(FLIGHT_THRESHOLD) flight_pair.json 'BenchmarkAcquire/flight=off' 'BenchmarkAcquire/flight=on'
-	@rm -f flight_pair.json
-
-# HDR-histogram overhead gate: same-run ablation of the metrics plane (HDR
-# log-linear histograms + sharded counters on every protocol event) against
-# the uninstrumented write round trip. The threshold prices the whole metrics
-# plane, not just the histogram delta, hence wider than flight's.
-HDR_THRESHOLD ?= 150
-hdr-overhead:
-	$(GO) test -bench 'BenchmarkAcquire/hdr' -benchtime=0.3s -count=5 -run='^$$' . | $(GO) run ./cmd/benchjson -o hdr_pair.json
-	$(GO) run ./cmd/benchjson pair -threshold $(HDR_THRESHOLD) hdr_pair.json 'BenchmarkAcquire/hdr=off' 'BenchmarkAcquire/hdr=on'
-	@rm -f hdr_pair.json
-
-# Writer fast-path gate (PR 8 acceptance): same-run ablation of the writer
-# plane on the uncontended write round trip. The threshold is NEGATIVE — the
-# pair fails unless wfast=on is at least 60% FASTER than wfast=off, i.e. the
-# single-CAS claim must land uncontended writes within single-digit
-# multiples of the BRAVO read instead of the ~1.3us RSM slow path.
-WFAST_THRESHOLD ?= -60
-wfast-overhead:
-	$(GO) test -bench 'BenchmarkUncontendedWriter/wfast' -benchtime=0.3s -count=5 -run='^$$' . | $(GO) run ./cmd/benchjson -o wfast_pair.json
-	$(GO) run ./cmd/benchjson pair -threshold $(WFAST_THRESHOLD) wfast_pair.json 'BenchmarkUncontendedWriter/wfast=off' 'BenchmarkUncontendedWriter/wfast=on'
-	@rm -f wfast_pair.json
-
-# Per-P slot striping gate: parallel same-component readers with the
-# visible-readers table striped per-P vs the shared global sequence. perP
-# removes the last contended cache line from the reader fast path, so it
-# must never cost more than SLOTS_THRESHOLD percent over shared (on
-# few-core runners the two are within noise; on many-core runners perP
-# should win outright).
-SLOTS_THRESHOLD ?= 15
-slots-overhead:
-	$(GO) test -bench 'BenchmarkReadScaling/slots' -benchtime=0.3s -count=5 -run='^$$' . | $(GO) run ./cmd/benchjson -o slots_pair.json
-	$(GO) run ./cmd/benchjson pair -threshold $(SLOTS_THRESHOLD) slots_pair.json 'BenchmarkReadScaling/slots=shared' 'BenchmarkReadScaling/slots=perP'
-	@rm -f slots_pair.json
-
-# Contended-parking gate (PR 9 acceptance): the park={chan,sema} ablation
-# pair on the contended 8-goroutine acquire loop. The threshold is NEGATIVE
-# — the pair fails unless the futex-style semaphore parker is strictly
-# faster than the legacy chan-close waiter under contention (direct signals
-# skip the channel round trip entirely; waiter pooling removes the
-# waiter+channel allocation per contended op, which close-signaled channels
-# structurally cannot do). -3 rides out runner noise while still requiring
-# a real win; the reference 1-core runner measures ~-15..-35% on quiet
-# windows. Sampling is INTERLEAVED: five separate go test invocations,
-# min-merged by benchjson, so a co-tenant load spike that lands on one
-# invocation's chan or sema window cannot poison that side's minimum — a
-# single -count=10 run measures all chan samples back-to-back and then all
-# sema samples, which turns any minutes-scale load shift into a phantom
-# pair delta.
-PARK_THRESHOLD ?= -3
-PARK_BENCH = $(GO) test -bench 'BenchmarkContendedAcquire/park=(chan|sema)/8g$$' -benchtime=0.3s -count=2 -run='^$$' .
-park-overhead:
-	( $(PARK_BENCH) && $(PARK_BENCH) && $(PARK_BENCH) && $(PARK_BENCH) && $(PARK_BENCH) ) | $(GO) run ./cmd/benchjson -o park_pair.json
-	$(GO) run ./cmd/benchjson pair -threshold $(PARK_THRESHOLD) park_pair.json 'BenchmarkContendedAcquire/park=chan/8g' 'BenchmarkContendedAcquire/park=sema/8g'
-	@rm -f park_pair.json
-
-# Distributed-tracing overhead gate (PR 10 acceptance): the contended
-# 8-goroutine acquire loop with no trace tag on the context (trace=off)
-# versus every request carrying one (trace=on). The on side pays one context
-# lookup per acquire plus the tag copy onto each shard event; flight records
-# and exemplars carry the tag in fields that exist either way, so the pair
-# prices exactly the tagging delta. The reference runner measures ~1%; the
-# threshold leaves headroom for shared-runner noise while still catching a
-# structural regression (e.g. a per-event allocation for the tag).
-TRACE_THRESHOLD ?= 15
-trace-overhead:
-	$(GO) test -bench 'BenchmarkTracedAcquire/trace' -benchtime=0.3s -count=5 -run='^$$' . | $(GO) run ./cmd/benchjson -o trace_pair.json
-	$(GO) run ./cmd/benchjson pair -threshold $(TRACE_THRESHOLD) trace_pair.json 'BenchmarkTracedAcquire/trace=off' 'BenchmarkTracedAcquire/trace=on'
-	@rm -f trace_pair.json
-
-# Network-tier overhead gate: the rnlpd service plane driven directly
-# in-process (net=off) versus through the client package over loopback HTTP
-# (net=on). Both sides run identical session/lease/fencing bookkeeping, so
-# the pair prices exactly the JSON codec + HTTP round trip. That cost is
-# structurally large — ~80x in-process on the reference runner, and the ratio
-# doubled when PR 12 halved its denominator (net=off 2.5 -> 1.25 us) — so
-# the threshold is not a "small overhead" bound like flight's: it pins the
-# tier at no more than ~120x in-process, which catches step regressions such
-# as a second blocking round trip per acquire (~2x the RTT) or losing HTTP
-# keep-alive (a TCP handshake per request), while riding out loopback noise.
-NET_THRESHOLD ?= 12000
-# The same run bounds a third leg, net=on,obs=rnlpd: the hop with the
-# observability options cmd/rnlpd switches on and a full attribution ring —
-# the configuration the daemon runs in and, until this leg, no pair priced.
-# Observability rides the shard event path, which a round trip dwarfs, so the
-# leg must stay within NET_OBS_THRESHOLD percent of net=on; what the bound
-# catches is request-path work that grows with retained history (the trace →
-# chain join once scanned the whole ring per acquire: 2x net=on on this leg).
-# Sampling is interleaved like park-overhead's — five invocations of one
-# sample per leg, min-merged — because loopback round trips drift by tens of
-# percent over the seconds a -count=5 block of one leg takes.
-NET_OBS_THRESHOLD ?= 30
-NET_BENCH = $(GO) test -bench 'BenchmarkAcquireRelease/net' -benchtime=0.3s -count=1 -run='^$$' ./internal/service
-net-overhead:
-	( $(NET_BENCH) && $(NET_BENCH) && $(NET_BENCH) && $(NET_BENCH) && $(NET_BENCH) ) | $(GO) run ./cmd/benchjson -o net_pair.json
-	$(GO) run ./cmd/benchjson pair -threshold $(NET_THRESHOLD) net_pair.json 'BenchmarkAcquireRelease/net=off' 'BenchmarkAcquireRelease/net=on'
-	$(GO) run ./cmd/benchjson pair -threshold $(NET_OBS_THRESHOLD) net_pair.json 'BenchmarkAcquireRelease/net=on' 'BenchmarkAcquireRelease/net=on,obs=rnlpd'
-	@rm -f net_pair.json
+# Same-run ablation pair gates: every overhead or speed-up bound CI enforces
+# (flight recorder, metrics plane, writer fast path, trace tags, network
+# tier, rnlpd observability) is one row of the table in cmd/benchjson/gates.go
+# — benchmarks, threshold and rationale — and all rows run under one sampling
+# protocol (five interleaved invocations, min-merged; see the note atop
+# cmd/benchjson/main.go). A failing row leaves <name>_pair.json behind.
+pair-gates:
+	$(GO) run ./cmd/benchjson gates
 
 # The rnlpbench harness (benchmark/, BENCHMARK.json) is a module of its own
 # that imports this one's internals, so the root build and tests never

@@ -246,7 +246,7 @@ func newBenchProtocol(b *testing.B) *rwrnlp.Protocol {
 	if err := spec.DeclareRequest([]rwrnlp.ResourceID{2, 3}, nil); err != nil {
 		b.Fatal(err)
 	}
-	return rwrnlp.New(spec.Build(), rwrnlp.Options{Placeholders: true})
+	return rwrnlp.New(spec.Build(), rwrnlp.WithPlaceholders())
 }
 
 // BenchmarkRuntimeRWRNLPReadHeavy: 15/16 reads of one resource, 1/16
@@ -501,7 +501,7 @@ func BenchmarkAcquireNoObserver(b *testing.B) {
 	benchAcquireReadLoop(b, newBenchProtocol(b))
 }
 
-// BenchmarkAcquireObserved: Options.Metrics on — event-derived counters and
+// BenchmarkAcquireObserved: WithMetrics on — event-derived counters and
 // histograms plus wall-clock instrumentation.
 func BenchmarkAcquireObserved(b *testing.B) {
 	spec := rwrnlp.NewSpecBuilder(4)
@@ -511,7 +511,7 @@ func BenchmarkAcquireObserved(b *testing.B) {
 	if err := spec.DeclareRequest([]rwrnlp.ResourceID{2, 3}, nil); err != nil {
 		b.Fatal(err)
 	}
-	p := rwrnlp.New(spec.Build(), rwrnlp.Options{Placeholders: true, Metrics: true})
+	p := rwrnlp.New(spec.Build(), rwrnlp.WithPlaceholders(), rwrnlp.WithMetrics())
 	benchAcquireReadLoop(b, p)
 	snap := p.Metrics().Snapshot()
 	// All-read traffic is served by the reader fast path (fastpath_hit) or,
@@ -629,7 +629,7 @@ func newFastPathBenchProtocol(b *testing.B, fast bool) *rwrnlp.Protocol {
 	}
 	var opts []rwrnlp.Option
 	if !fast {
-		opts = append(opts, rwrnlp.WithoutFastPath())
+		opts = append(opts, rwrnlp.WithFastPath(rwrnlp.FastPathConfig{}))
 	}
 	return rwrnlp.New(spec.Build(), opts...)
 }
@@ -744,61 +744,36 @@ func BenchmarkUncontendedWriter(b *testing.B) {
 	}
 }
 
-// BenchmarkReadScaling: all goroutines read the same component concurrently,
-// with the visible-readers table striped per-P (stack-address hinted slot
-// probing, per-slot claim counters) vs the shared global sequence. The perP
-// variant must not be slower than shared — under parallel readers the shared
-// fastSeq counter is the one remaining contended cache line on the fast
-// path — checked by `make slots-overhead` via `benchjson pair`.
+// BenchmarkReadScaling: all goroutines read the same component concurrently
+// through the per-P striped visible-readers table (stack-address hinted slot
+// probing, per-slot claim counters), so parallel readers share no cache line
+// on the fast path.
 func BenchmarkReadScaling(b *testing.B) {
-	for _, mode := range []string{"shared", "perP"} {
-		mode := mode
-		b.Run("slots="+mode, func(b *testing.B) {
-			spec := rwrnlp.NewSpecBuilder(4)
-			if err := spec.DeclareRequest([]rwrnlp.ResourceID{0, 1}, nil); err != nil {
+	p := newFastPathBenchProtocol(b, true)
+	var shared [4]int64
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			tok, err := p.Read(bg, 0, 1)
+			if err != nil {
 				b.Fatal(err)
 			}
-			if err := spec.DeclareRequest([]rwrnlp.ResourceID{2, 3}, nil); err != nil {
+			_ = shared[0]
+			if err := p.Release(tok); err != nil {
 				b.Fatal(err)
 			}
-			striping := rwrnlp.StripePerP
-			if mode == "shared" {
-				striping = rwrnlp.StripeShared
-			}
-			p := rwrnlp.New(spec.Build(), rwrnlp.WithFastPath(rwrnlp.FastPathConfig{
-				Readers:      true,
-				Writers:      true,
-				SlotStriping: striping,
-			}))
-			var shared [4]int64
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					tok, err := p.Read(bg, 0, 1)
-					if err != nil {
-						b.Fatal(err)
-					}
-					_ = shared[0]
-					if err := p.Release(tok); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
-	}
+		}
+	})
 }
 
 // ---------------------------------------------------------------------------
-// Contended slow path + parking ablation (PR 9 acceptance)
+// Contended slow path + parking (PR 9 acceptance)
 
 // BenchmarkContendedAcquire prices the contended slow path itself: fixed
 // goroutine pools hammer one (or four) components with interleaved writes,
 // so most acquisitions are unsatisfied at issue and must park. Both
 // fast-path planes are disabled — a fast-path hit would bypass the parker
 // entirely — and the background context routes every wait through the
-// non-cancelable park path. The park={chan,sema} axis is the ablation pair
-// priced by `make park-overhead`: chan is the legacy chan-close waiter,
-// sema the futex-style state-word parker; CI fails unless sema is strictly
-// faster on the 8g leg (negative threshold, PR 8 pattern).
+// non-cancelable park path.
 func BenchmarkContendedAcquire(b *testing.B) {
 	scenarios := []struct {
 		name       string
@@ -812,60 +787,53 @@ func BenchmarkContendedAcquire(b *testing.B) {
 		{"8g-4c", 8, 4, 4},
 		{"8g-writeheavy", 8, 1, 2},
 	}
-	for _, park := range []string{"chan", "sema"} {
-		mode := rwrnlp.ParkSema
-		if park == "chan" {
-			mode = rwrnlp.ParkChan
-		}
-		for _, sc := range scenarios {
-			sc := sc
-			b.Run(fmt.Sprintf("park=%s/%s", park, sc.name), func(b *testing.B) {
-				spec := rwrnlp.NewSpecBuilder(2 * sc.comps)
-				for i := 0; i < sc.comps; i++ {
-					r0, r1 := rwrnlp.ResourceID(2*i), rwrnlp.ResourceID(2*i+1)
-					if err := spec.DeclareRequest([]rwrnlp.ResourceID{r0, r1}, nil); err != nil {
-						b.Fatal(err)
-					}
+	for _, sc := range scenarios {
+		sc := sc
+		b.Run(sc.name, func(b *testing.B) {
+			spec := rwrnlp.NewSpecBuilder(2 * sc.comps)
+			for i := 0; i < sc.comps; i++ {
+				r0, r1 := rwrnlp.ResourceID(2*i), rwrnlp.ResourceID(2*i+1)
+				if err := spec.DeclareRequest([]rwrnlp.ResourceID{r0, r1}, nil); err != nil {
+					b.Fatal(err)
 				}
-				p := rwrnlp.New(spec.Build(),
-					rwrnlp.WithPlaceholders(),
-					rwrnlp.WithFastPath(rwrnlp.FastPathConfig{}),
-					rwrnlp.WithParking(mode))
-				shared := make([]int64, 2*sc.comps)
-				per := b.N/sc.gs + 1
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				for g := 0; g < sc.gs; g++ {
-					wg.Add(1)
-					go func(g int) {
-						defer wg.Done()
-						comp := g % sc.comps
-						r0, r1 := rwrnlp.ResourceID(2*comp), rwrnlp.ResourceID(2*comp+1)
-						for i := 0; i < per; i++ {
-							if i%sc.writeEvery == 0 {
-								tok, err := p.Write(bg, r0, r1)
-								if err != nil {
-									b.Error(err)
-									return
-								}
-								shared[r0]++
-								shared[r1]++
-								p.Release(tok)
-							} else {
-								tok, err := p.Read(bg, r0, r1)
-								if err != nil {
-									b.Error(err)
-									return
-								}
-								_ = shared[r0]
-								p.Release(tok)
+			}
+			p := rwrnlp.New(spec.Build(),
+				rwrnlp.WithPlaceholders(),
+				rwrnlp.WithFastPath(rwrnlp.FastPathConfig{}))
+			shared := make([]int64, 2*sc.comps)
+			per := b.N/sc.gs + 1
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for g := 0; g < sc.gs; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					comp := g % sc.comps
+					r0, r1 := rwrnlp.ResourceID(2*comp), rwrnlp.ResourceID(2*comp+1)
+					for i := 0; i < per; i++ {
+						if i%sc.writeEvery == 0 {
+							tok, err := p.Write(bg, r0, r1)
+							if err != nil {
+								b.Error(err)
+								return
 							}
+							shared[r0]++
+							shared[r1]++
+							p.Release(tok)
+						} else {
+							tok, err := p.Read(bg, r0, r1)
+							if err != nil {
+								b.Error(err)
+								return
+							}
+							_ = shared[r0]
+							p.Release(tok)
 						}
-					}(g)
-				}
-				wg.Wait()
-			})
-		}
+					}
+				}(g)
+			}
+			wg.Wait()
+		})
 	}
 }
 
@@ -963,7 +931,7 @@ func BenchmarkTracedAcquire(b *testing.B) {
 			}
 			p := rwrnlp.New(spec.Build(),
 				rwrnlp.WithPlaceholders(),
-				rwrnlp.WithoutFastPath(),
+				rwrnlp.WithFastPath(rwrnlp.FastPathConfig{}),
 				rwrnlp.WithMetrics(),
 				rwrnlp.WithFlightRecorder(1024))
 			ctx := bg

@@ -79,7 +79,7 @@ func (c *Client) MetricsSnapshot() obs.Snapshot { return c.metrics.reg.Snapshot(
 
 // DebugMux serves the client's observability surface:
 //
-//	/metrics            client telemetry (JSON; ?format=text|prom|openmetrics)
+//	/metrics            client telemetry (JSON; ?format=text|openmetrics)
 //	/debug/rnlp/trace   completed distributed traces (JSON list;
 //	                    ?id=<trace_id> for one, &format=perfetto to render)
 //	/healthz            "ok"

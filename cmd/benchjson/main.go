@@ -12,22 +12,24 @@
 // threshold percent (ns/op). Used by `make bench-check` and the CI perf
 // gate.
 //
-// A third mode compares two benchmarks within ONE snapshot — a same-run
-// ablation pair, immune to cross-run machine drift:
+// A third mode runs the same-run ablation pair gates — immune to cross-run
+// machine drift — from the one table in gates.go:
 //
-//	benchjson pair [-threshold 2] snapshot.json baseName variantName
+//	benchjson gates
 //
-// exits 1 if variant exceeds base by more than threshold percent (ns/op).
-// Used by the CI overhead gates (BenchmarkAcquire/flight=off vs =on,
-// BenchmarkAcquire/hdr=off vs =on).
+// samples each row's benchmarks, fails (exit 1) if any row's variant exceeds
+// its base by more than the row's threshold percent (ns/op), and leaves
+// <name>_pair.json behind for every failing row. Used by `make pair-gates`.
 //
-// Pair-gate protocol: run both sides with `go test -count=5` in a single
-// invocation. The converter merges repeated lines by MINIMUM ns/op, so each
-// side of the pair is the min of five interleaved runs. This matters: a
-// single-run pair on a shared machine routinely inverts (a 2026-08-06
-// snapshot recorded the observed variant at 467 ns/op against a 577 ns/op
-// uninstrumented baseline — a -19% "overhead" that was pure scheduler
-// noise). Minima cancel one-sided interference, and interleaving cancels
+// Pair-gate protocol: five separate `go test -count=1` invocations of the
+// row's benchmarks, merged by MINIMUM ns/op, so each side of the pair is the
+// min of five interleaved samples. This matters: a single-run pair on a
+// shared machine routinely inverts (a 2026-08-06 snapshot recorded the
+// observed variant at 467 ns/op against a 577 ns/op uninstrumented baseline
+// — a -19% "overhead" that was pure scheduler noise), and one `-count=5`
+// invocation measures all of one side's samples back-to-back before the
+// other's, which turns any minutes-scale load shift into a phantom pair
+// delta. Minima cancel one-sided interference, and interleaving cancels
 // thermal/frequency drift between the sides; what remains is the real
 // effect, so thresholds encode tolerance for the instrument's true cost,
 // not for measurement noise.
@@ -38,6 +40,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"sort"
@@ -59,8 +62,8 @@ func main() {
 		switch os.Args[1] {
 		case "compare":
 			os.Exit(compareMain(os.Args[2:]))
-		case "pair":
-			os.Exit(pairMain(os.Args[2:]))
+		case "gates":
+			os.Exit(gatesMain())
 		}
 	}
 	convertMain()
@@ -70,9 +73,29 @@ func convertMain() {
 	out := flag.String("o", "", "output file (default stdout)")
 	flag.Parse()
 
+	results, err := parseBench(os.Stdin)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(2)
+	}
+	buf := marshalSnapshot(results)
+	if *out == "" {
+		os.Stdout.Write(buf)
+		return
+	}
+	if err := os.WriteFile(*out, buf, 0o644); err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(2)
+	}
+	fmt.Fprintf(os.Stderr, "benchjson: %d benchmarks written to %s\n", len(results), *out)
+}
+
+// parseBench reads `go test -bench` output and returns its measurements,
+// repeated ones merged (see mergeDuplicates).
+func parseBench(in io.Reader) ([]Result, error) {
 	results := []Result{} // non-nil so empty input marshals as [], not null
 	pkg := ""
-	scan := bufio.NewScanner(os.Stdin)
+	scan := bufio.NewScanner(in)
 	scan.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for scan.Scan() {
 		line := scan.Text()
@@ -90,27 +113,16 @@ func convertMain() {
 			results = append(results, r)
 		}
 	}
-	if err := scan.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(2)
-	}
-	results = mergeDuplicates(results)
+	return mergeDuplicates(results), scan.Err()
+}
 
+// marshalSnapshot renders a snapshot file.
+func marshalSnapshot(results []Result) []byte {
 	buf, err := json.MarshalIndent(results, "", "  ")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(2)
+		panic(err) // a []Result always marshals
 	}
-	buf = append(buf, '\n')
-	if *out == "" {
-		os.Stdout.Write(buf)
-		return
-	}
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(2)
-	}
-	fmt.Fprintf(os.Stderr, "benchjson: %d benchmarks written to %s\n", len(results), *out)
+	return append(buf, '\n')
 }
 
 // mergeDuplicates collapses repeated measurements of the same benchmark
@@ -253,67 +265,25 @@ func loadSnapshot(path string) (map[string]Result, error) {
 	if err := json.Unmarshal(buf, &list); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	m := make(map[string]Result, len(list))
-	for _, r := range list {
-		// Later entries win, matching mergeDuplicates' "one entry per
-		// name" contract for snapshots written by this tool.
-		m[r.Name] = r
-	}
-	return m, nil
+	return byName(list), nil
 }
 
-// pairMain implements `benchjson pair [-threshold pct] snapshot.json base
-// variant`: both names are looked up in the same snapshot (exact match
-// first, then unique suffix match so pkg-qualified names need not be
-// spelled out) and the gate fails when variant is more than threshold
-// percent slower than base. Exit 0 ok, 1 past threshold, 2 on usage or
-// lookup errors.
-func pairMain(argv []string) int {
-	fs := flag.NewFlagSet("benchjson pair", flag.ExitOnError)
-	threshold := fs.Float64("threshold", 2, "max allowed ns/op excess of variant over base, percent")
-	fs.Parse(argv)
-	if fs.NArg() != 3 {
-		fmt.Fprintln(os.Stderr, "usage: benchjson pair [-threshold pct] snapshot.json baseName variantName")
-		return 2
+// byName indexes a snapshot. Later entries win, matching mergeDuplicates'
+// "one entry per name" contract for snapshots written by this tool.
+func byName(list []Result) map[string]Result {
+	m := make(map[string]Result, len(list))
+	for _, r := range list {
+		m[r.Name] = r
 	}
-	snap, err := loadSnapshot(fs.Arg(0))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson pair:", err)
-		return 2
-	}
-	base, err := lookupResult(snap, fs.Arg(1))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson pair:", err)
-		return 2
-	}
-	variant, err := lookupResult(snap, fs.Arg(2))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson pair:", err)
-		return 2
-	}
-	if base.NsPerOp <= 0 {
-		fmt.Fprintf(os.Stderr, "benchjson pair: %s has no ns/op measurement\n", base.Name)
-		return 2
-	}
-	delta := (variant.NsPerOp - base.NsPerOp) / base.NsPerOp * 100
-	status := "ok"
-	if delta > *threshold {
-		status = "EXCEEDED"
-	}
-	fmt.Printf("%-9s %s %.1f ns/op vs %s %.1f ns/op  (%+.1f%%, threshold %+.1f%%)\n",
-		status, base.Name, base.NsPerOp, variant.Name, variant.NsPerOp, delta, *threshold)
-	if status != "ok" {
-		return 1
-	}
-	return 0
+	return m
 }
 
 // lookupResult resolves a benchmark by exact name, falling back to a unique
 // suffix match over the pkg-qualified snapshot names. Both passes are also
 // tried with any `-N` GOMAXPROCS suffix stripped from the snapshot names:
 // `go test` appends `-GOMAXPROCS` to every benchmark when it is not 1, and
-// the Makefile pair gates spell names without it so they stay portable
-// across runner core counts.
+// the pair-gate table spells names without it so they stay portable across
+// runner core counts.
 func lookupResult(snap map[string]Result, name string) (Result, error) {
 	if r, ok := snap[name]; ok {
 		return r, nil

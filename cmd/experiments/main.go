@@ -100,7 +100,7 @@ func finish() {
 	}
 	if *httpAddr != "" {
 		fmt.Printf("serving debug endpoint on http://%s (/metrics, /healthz); Ctrl-C to stop\n", *httpAddr)
-		if err := http.ListenAndServe(*httpAddr, obs.DebugMux(reg, nil, nil)); err != nil {
+		if err := http.ListenAndServe(*httpAddr, obs.NewDebugMux(obs.DebugMuxConfig{Metrics: reg})); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -46,7 +46,6 @@ func main() {
 		nodes     = flag.String("nodes", "", "static cluster map, comma-separated node identities")
 		vnodes    = flag.Int("vnodes", 0, "consistent-hash virtual nodes per node (0 = default)")
 		placeh    = flag.Bool("placeholders", true, "enable the Sec. 3.4 placeholder optimization")
-		park      = flag.String("park", "sema", "contended-waiter parking: sema (futex-style state word) or chan (legacy chan-close)")
 		flight    = flag.Int("flight", 4096, "flight-recorder ring depth per shard (0 disables)")
 		tsInt     = flag.Duration("timeseries", time.Second, "telemetry capture interval (0 disables)")
 		attrTopK  = flag.Int("attr", 10, "causal-attribution top-K blocking chains (0 disables)")
@@ -73,14 +72,6 @@ func main() {
 	opts := []rwrnlp.Option{rwrnlp.WithMetrics()}
 	if *placeh {
 		opts = append(opts, rwrnlp.WithPlaceholders())
-	}
-	switch *park {
-	case "sema":
-		opts = append(opts, rwrnlp.WithParking(rwrnlp.ParkSema))
-	case "chan":
-		opts = append(opts, rwrnlp.WithParking(rwrnlp.ParkChan))
-	default:
-		fatalf("bad -park %q: want sema or chan", *park)
 	}
 	if *flight > 0 {
 		opts = append(opts, rwrnlp.WithFlightRecorder(*flight))

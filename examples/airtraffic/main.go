@@ -47,7 +47,7 @@ func main() {
 			panic(err)
 		}
 	}
-	p := rwrnlp.New(spec.Build(), rwrnlp.Options{Placeholders: true})
+	p := rwrnlp.New(spec.Build(), rwrnlp.WithPlaceholders())
 
 	sectors := make([]sector, nSectors)
 	var overlaps, deviationsFixed atomic.Int64

@@ -34,7 +34,7 @@ func main() {
 	if err := spec.DeclareRequest([]rwrnlp.ResourceID{rX, rY}, []rwrnlp.ResourceID{rZ}); err != nil {
 		panic(err)
 	}
-	p := rwrnlp.New(spec.Build(), rwrnlp.Options{Placeholders: true})
+	p := rwrnlp.New(spec.Build(), rwrnlp.WithPlaceholders())
 
 	var x, y, z int
 	var wg sync.WaitGroup

@@ -52,10 +52,10 @@ func main() {
 			panic(err)
 		}
 	}
-	// WithoutFastPath: this example machine-checks the event stream, and a
-	// reader served by the BRAVO fast path never emits events — full trace
-	// fidelity matters more here than reader throughput.
-	p := rwrnlp.New(spec.Build(), rwrnlp.WithPlaceholders(), rwrnlp.WithoutFastPath())
+	// Both fast-path planes off: this example machine-checks the event stream,
+	// and a request served by a fast path never emits events — full trace
+	// fidelity matters more here than throughput.
+	p := rwrnlp.New(spec.Build(), rwrnlp.WithPlaceholders(), rwrnlp.WithFastPath(rwrnlp.FastPathConfig{}))
 	rec := &trace.Recorder{}
 	p.SetTracer(rec)
 

@@ -71,29 +71,28 @@ import (
 // decisions match the all-slow baseline exactly, mirroring the reader-
 // migration argument above; see IMPLEMENTATION.md, "Writer fast path".
 //
-// Striping: reader claims are assigned to slots per-P by default — the
-// probe starts from a goroutine-local hint (derived from the goroutine's
-// stack address, no runtime_procPin or TLS) and claim sequences are minted
-// from a per-slot counter, so an uncontended read's entire fast path
-// touches a single padded cache line. StripeShared restores the PR 4
-// layout: one global sequence counter, probe start hashed from it.
+// Striping: reader claims are assigned to slots per-P — the probe starts
+// from a goroutine-local hint (derived from the goroutine's stack address,
+// no runtime_procPin or TLS) and claim sequences are minted from a per-slot
+// counter, so an uncontended read's entire fast path touches a single
+// padded cache line.
 //
 // Visibility: a fast read that never meets a writer is invisible to Stats,
 // Snapshot, and any attached event observer (the per-shard fastpath_*
 // counters are its only telemetry); once migrated it appears as an ordinary
-// satisfied read request tagged fastSurrogateTag. Use WithoutFastPath when
-// full event-stream fidelity matters more than reader throughput.
+// satisfied read request tagged fastSurrogateTag. Use
+// WithFastPath(FastPathConfig{}) when full event-stream fidelity matters
+// more than reader throughput.
 const (
 	// fastSlotWords bounds the inline read-set mask: resources 0 …
 	// 64·fastSlotWords−1. Reads naming a higher ID fall back to the RSM.
 	fastSlotWords   = 4
 	fastMaxResource = 64 * fastSlotWords
 
-	// fastRevokeMisses is the default streak of conflict misses after which
-	// a fast-path plane revokes itself; fastGraceReads the default number of
+	// fastRevokeMisses is the streak of conflict misses after which a
+	// fast-path plane revokes itself; fastGraceReads the number of
 	// fast-eligible acquisitions that must subsequently find the conflict
-	// gone (on the RSM path) before the plane re-enables. Override both with
-	// FastPathConfig.Revocation.
+	// gone (on the RSM path) before the plane re-enables.
 	fastRevokeMisses = 128
 	fastGraceReads   = 64
 
@@ -127,9 +126,9 @@ type fastSlot struct {
 	seq    atomic.Uint64
 	set    [fastSlotWords]atomic.Uint64
 	migSeq atomic.Uint64
-	// claims mints this slot's claim sequences under per-P striping
+	// claims mints this slot's claim sequences
 	// (seq = claims<<fastSeqSlotBits | idx+1), keeping the whole claim
-	// protocol on this one cache line; unused under StripeShared.
+	// protocol on this one cache line.
 	claims atomic.Uint64
 	_      [72]byte
 }
@@ -151,11 +150,14 @@ func fastSlotCount() int {
 	return c
 }
 
-// initFastPath allocates the shard's reader slots; left uninitialized (nil
-// fastSlots disables every fast-path hook) under WithoutFastPath.
+// initFastPath allocates the shard's reader slots and surrogate tables; left
+// uninitialized (nil fastSlots disables every fast-path hook) when both
+// planes are off.
 func (s *shard) initFastPath() {
 	s.fastSlots = make([]fastSlot, fastSlotCount())
 	s.fastMask = len(s.fastSlots) - 1
+	s.fastSurr = make(map[uint64]core.ReqID)
+	s.fastWSurr = make(map[uint64]core.ReqID)
 }
 
 // fastAcquire attempts the reader fast path for an all-read footprint that
@@ -165,47 +167,32 @@ func (s *shard) initFastPath() {
 // revocation hysteresis progress and the caller falls back to the RSM.
 func (s *shard) fastAcquire(read []ResourceID) (Token, bool) {
 	gateClosed := s.fastWriters.Load() != 0
-	if gateClosed || s.fastRevoked.Load() {
+	if gateClosed || s.fastRHyst.revoked.Load() {
 		s.fastReadMissed(gateClosed)
 		return Token{}, false
 	}
-	var mask [fastSlotWords]uint64
-	for _, a := range read {
-		if int(a) >= fastMaxResource {
-			s.fastReadMissed(false)
-			return Token{}, false
-		}
-		mask[int(a)>>6] |= 1 << (uint(a) & 63)
+	mask, ok := encodeMask(read)
+	if !ok {
+		s.fastReadMissed(false)
+		return Token{}, false
 	}
+	// Per-P striping: probe from a goroutine-local hint so concurrent readers
+	// land on different padded slots, and mint the claim sequence from the
+	// slot's own counter — the uncontended hot path touches no shared word at
+	// all. A failed probe wastes one counter increment on that slot, which is
+	// harmless: sequences only ever need to be unique and non-zero, and the
+	// slot index in the low bits keeps counters of different slots in
+	// disjoint sequence spaces.
 	var seq uint64
 	slot := -1
-	if s.fastPerP {
-		// Per-P striding: probe from a goroutine-local hint so concurrent
-		// readers land on different padded slots, and mint the claim sequence
-		// from the slot's own counter — the uncontended hot path touches no
-		// shared word at all. A failed probe wastes one counter increment on
-		// that slot, which is harmless: sequences only ever need to be unique
-		// and non-zero, and the slot index in the low bits keeps counters of
-		// different slots in disjoint sequence spaces.
-		h := fastHint() & s.fastMask
-		for i := 0; i <= s.fastMask; i++ {
-			idx := (h + i) & s.fastMask
-			sl := &s.fastSlots[idx]
-			cand := sl.claims.Add(1)<<fastSeqSlotBits | uint64(idx+1)
-			if sl.seq.CompareAndSwap(0, cand) {
-				slot, seq = idx, cand
-				break
-			}
-		}
-	} else {
-		seq = s.fastSeq.Add(1)
-		h := int(seq) & s.fastMask
-		for i := 0; i <= s.fastMask; i++ {
-			idx := (h + i) & s.fastMask
-			if s.fastSlots[idx].seq.CompareAndSwap(0, seq) {
-				slot = idx
-				break
-			}
+	h := fastHint() & s.fastMask
+	for i := 0; i <= s.fastMask; i++ {
+		idx := (h + i) & s.fastMask
+		sl := &s.fastSlots[idx]
+		cand := sl.claims.Add(1)<<fastSeqSlotBits | uint64(idx+1)
+		if sl.seq.CompareAndSwap(0, cand) {
+			slot, seq = idx, cand
+			break
 		}
 	}
 	if slot < 0 {
@@ -236,9 +223,7 @@ func (s *shard) fastAcquire(read []ResourceID) (Token, bool) {
 	if s.fastHitC != nil {
 		s.fastHitC.Inc()
 	}
-	if s.fastMissStreak.Load() != 0 {
-		s.fastMissStreak.Store(0)
-	}
+	s.fastRHyst.hit()
 	return Token{s: s, fastSeq: seq, fastSlot: int32(slot)}, true
 }
 
@@ -271,20 +256,71 @@ func (s *shard) retireSurrogate(sl *fastSlot, seq uint64) error {
 	if sl.migSeq.Load() != seq {
 		return nil
 	}
+	return s.retireRecorded(s.fastSurr, seq)
+}
+
+// retireRecorded is the locked half of both planes' exactly-once surrogate
+// retirement: whichever side — the withdrawing claimant or the migrating
+// contender — finds seq still recorded in surr deletes the entry and retires
+// the surrogate; the other finds nothing to do.
+func (s *shard) retireRecorded(surr map[uint64]core.ReqID, seq uint64) error {
 	s.mu.Lock()
-	id, ok := s.fastSurr[seq]
+	id, ok := surr[seq]
 	var err error
 	if ok {
-		delete(s.fastSurr, seq)
-		if st, serr := s.rsm.State(id); serr == nil && st == core.StateSatisfied {
-			err = s.rsm.Complete(s.tick(), id)
-		} else {
-			err = s.rsm.CancelRequest(s.tick(), id)
-		}
+		delete(surr, seq)
+		err = s.completeOrCancel(id)
 		s.selfCheck()
 	}
 	s.unlock()
 	return err
+}
+
+// completeOrCancel retires one surrogate: a satisfied one is completed,
+// waking whatever queued behind it; one still waiting (recorded for a doomed
+// claim) is canceled. Caller holds s.mu.
+func (s *shard) completeOrCancel(id core.ReqID) error {
+	if st, err := s.rsm.State(id); err == nil && st == core.StateSatisfied {
+		return s.rsm.Complete(s.tick(), id)
+	}
+	return s.rsm.CancelRequest(s.tick(), id)
+}
+
+// hysteresis is one fast-path plane's revocation state: revoked latches
+// after a streak of fastRevokeMisses conflict misses and clears once
+// fastGraceReads fast-eligible acquisitions have found the conflict gone.
+type hysteresis struct {
+	revoked    atomic.Bool
+	grace      atomic.Int64
+	missStreak atomic.Int64
+}
+
+// conflict records a conflict miss and reports whether it revoked the plane.
+func (h *hysteresis) conflict() bool {
+	if !h.revoked.Load() && h.missStreak.Add(1) >= fastRevokeMisses && !h.revoked.Swap(true) {
+		h.grace.Store(fastGraceReads)
+		return true
+	}
+	return false
+}
+
+// calm records a miss that was not a conflict and reports whether the plane
+// is revoked, i.e. whether a grace countdown (graceOver) is due once the
+// caller has checked that the conflict is really gone.
+func (h *hysteresis) calm() bool {
+	h.missStreak.Store(0)
+	return h.revoked.Load()
+}
+
+// graceOver counts one conflict-free observation against the grace period
+// and reports whether it has run out.
+func (h *hysteresis) graceOver() bool { return h.grace.Add(-1) <= 0 }
+
+// hit records a fast-path hit.
+func (h *hysteresis) hit() {
+	if h.missStreak.Load() != 0 {
+		h.missStreak.Store(0)
+	}
 }
 
 // fastReadMissed records a fast-eligible read served by the RSM, driving the
@@ -298,21 +334,13 @@ func (s *shard) fastReadMissed(gateClosed bool) {
 		s.fastMissC.Inc()
 	}
 	if gateClosed {
-		if !s.fastRevoked.Load() && s.fastMissStreak.Add(1) >= s.revokeMisses {
-			if !s.fastRevoked.Swap(true) {
-				s.fastGrace.Store(s.graceReads)
-				if s.fastRevokedC != nil {
-					s.fastRevokedC.Inc()
-				}
-			}
+		if s.fastRHyst.conflict() && s.fastRevokedC != nil {
+			s.fastRevokedC.Inc()
 		}
 		return
 	}
-	s.fastMissStreak.Store(0)
-	if s.fastRevoked.Load() && s.fastWriters.Load() == 0 {
-		if s.fastGrace.Add(-1) <= 0 {
-			s.fastRevoked.Store(false)
-		}
+	if s.fastRHyst.calm() && s.fastWriters.Load() == 0 && s.fastRHyst.graceOver() {
+		s.fastRHyst.revoked.Store(false)
 	}
 }
 
@@ -357,14 +385,7 @@ func (s *shard) writerExit() {
 // satisfied immediately; if the holding reader releases while the surrogate
 // is being recorded, the re-check completes it on the spot.
 func (s *shard) migrateFast() {
-	live := false
-	for i := range s.fastSlots {
-		if s.fastSlots[i].seq.Load() != 0 {
-			live = true
-			break
-		}
-	}
-	if !live {
+	if !s.anyFastReader() {
 		return
 	}
 	s.mu.Lock()
@@ -378,9 +399,6 @@ func (s *shard) migrateFast() {
 		if err != nil {
 			continue
 		}
-		if s.fastSurr == nil {
-			s.fastSurr = make(map[uint64]core.ReqID)
-		}
 		s.fastSurr[seq] = id
 		sl.migSeq.Store(seq)
 		if sl.seq.Load() != seq {
@@ -390,11 +408,7 @@ func (s *shard) migrateFast() {
 			// a doomed mid-publication one scanned while an earlier writer
 			// was already in the RSM.
 			delete(s.fastSurr, seq)
-			if st, serr := s.rsm.State(id); serr == nil && st == core.StateSatisfied {
-				_ = s.rsm.Complete(s.tick(), id)
-			} else {
-				_ = s.rsm.CancelRequest(s.tick(), id)
-			}
+			_ = s.completeOrCancel(id)
 		} else if s.fastMigratedC != nil {
 			s.fastMigratedC.Inc()
 		}
@@ -406,6 +420,18 @@ func (s *shard) migrateFast() {
 // resources decodes the slot's published read-set mask.
 func (sl *fastSlot) resources() []ResourceID {
 	return decodeMask(&sl.set)
+}
+
+// encodeMask builds the inline footprint mask of ids; false if one of them
+// lies beyond it (the request then falls back to the RSM).
+func encodeMask(ids []ResourceID) (mask [fastSlotWords]uint64, ok bool) {
+	for _, a := range ids {
+		if int(a) >= fastMaxResource {
+			return mask, false
+		}
+		mask[int(a)>>6] |= 1 << (uint(a) & 63)
+	}
+	return mask, true
 }
 
 // decodeMask decodes a published resource mask into resource IDs.
@@ -459,7 +485,7 @@ func (s *shard) anyFastReader() bool {
 // observes our fully published claim (and migrates it). The same argument
 // pairs the gate-close with the reader plane's slot-publish/gate-re-check.
 func (s *shard) fastWriteAcquire(read, write []ResourceID) (Token, bool) {
-	if s.fastWRevoked.Load() {
+	if s.fastWHyst.revoked.Load() {
 		s.fastWriteMissed(s.fastWriteBusy())
 		return Token{}, false
 	}
@@ -467,20 +493,11 @@ func (s *shard) fastWriteAcquire(read, write []ResourceID) (Token, bool) {
 		s.fastWriteMissed(true)
 		return Token{}, false
 	}
-	var rmask, wmask [fastSlotWords]uint64
-	for _, a := range read {
-		if int(a) >= fastMaxResource {
-			s.fastWriteMissed(false)
-			return Token{}, false
-		}
-		rmask[int(a)>>6] |= 1 << (uint(a) & 63)
-	}
-	for _, a := range write {
-		if int(a) >= fastMaxResource {
-			s.fastWriteMissed(false)
-			return Token{}, false
-		}
-		wmask[int(a)>>6] |= 1 << (uint(a) & 63)
+	rmask, rok := encodeMask(read)
+	wmask, wok := encodeMask(write)
+	if !rok || !wok {
+		s.fastWriteMissed(false)
+		return Token{}, false
 	}
 	seq := s.fastWSeq.Add(1)
 	if !s.fastWWord.CompareAndSwap(0, seq) {
@@ -513,9 +530,7 @@ func (s *shard) fastWriteAcquire(read, write []ResourceID) (Token, bool) {
 		s.fastWHitC.Inc()
 	}
 	s.fastWOps.Add(1)
-	if s.fastWMissStreak.Load() != 0 {
-		s.fastWMissStreak.Store(0)
-	}
+	s.fastWHyst.hit()
 	return Token{s: s, fastW: seq}, true
 }
 
@@ -548,20 +563,7 @@ func (s *shard) retireWriteSurrogate(seq uint64) error {
 	if s.fastWMig.Load() != seq {
 		return nil
 	}
-	s.mu.Lock()
-	id, ok := s.fastWSurr[seq]
-	var err error
-	if ok {
-		delete(s.fastWSurr, seq)
-		if st, serr := s.rsm.State(id); serr == nil && st == core.StateSatisfied {
-			err = s.rsm.Complete(s.tick(), id)
-		} else {
-			err = s.rsm.CancelRequest(s.tick(), id)
-		}
-		s.selfCheck()
-	}
-	s.unlock()
-	return err
+	return s.retireRecorded(s.fastWSurr, seq)
 }
 
 // slowEnter announces an imminent RSM issuance on this shard (any kind:
@@ -612,20 +614,13 @@ func (s *shard) migrateFastWriter() {
 		s.unlock()
 		return
 	}
-	if s.fastWSurr == nil {
-		s.fastWSurr = make(map[uint64]core.ReqID)
-	}
 	s.fastWSurr[seq] = id
 	s.fastWMig.Store(seq)
 	if s.fastWWord.Load() != seq {
 		// The claim was withdrawn between our first look and the fastWMig
 		// store and cannot have seen it; retire the surrogate here.
 		delete(s.fastWSurr, seq)
-		if st, serr := s.rsm.State(id); serr == nil && st == core.StateSatisfied {
-			_ = s.rsm.Complete(s.tick(), id)
-		} else {
-			_ = s.rsm.CancelRequest(s.tick(), id)
-		}
+		_ = s.completeOrCancel(id)
 	} else if s.fastWMigratedC != nil {
 		s.fastWMigratedC.Inc()
 	}
@@ -635,8 +630,8 @@ func (s *shard) migrateFastWriter() {
 
 // fastWriteMissed records a fast-eligible write-capable acquisition served
 // by the RSM, driving the writer plane's revocation hysteresis exactly like
-// the reader plane's: a streak of revokeMisses busy misses revokes the
-// plane, and graceReads subsequent misses that find the component fully
+// the reader plane's: a streak of fastRevokeMisses busy misses revokes the
+// plane, and fastGraceReads subsequent misses that find the component fully
 // idle re-enable it. A revocation that lands within twice the revocation
 // budget of the previous re-enable counts as a revocation storm — the
 // plane is thrashing between the two states and amortizing nothing.
@@ -646,27 +641,19 @@ func (s *shard) fastWriteMissed(busy bool) {
 	}
 	s.fastWOps.Add(1)
 	if busy {
-		if !s.fastWRevoked.Load() && s.fastWMissStreak.Add(1) >= s.revokeMisses {
-			if !s.fastWRevoked.Swap(true) {
-				if s.fastWRevokedC != nil {
-					s.fastWRevokedC.Inc()
-				}
-				if s.fastWReenabled.Load() && s.fastWOps.Load() < 2*s.revokeMisses {
-					if s.fastWStormC != nil {
-						s.fastWStormC.Inc()
-					}
-				}
-				s.fastWGrace.Store(s.graceReads)
+		if s.fastWHyst.conflict() {
+			if s.fastWRevokedC != nil {
+				s.fastWRevokedC.Inc()
+			}
+			if s.fastWStormC != nil && s.fastWReenabled.Load() && s.fastWOps.Load() < 2*fastRevokeMisses {
+				s.fastWStormC.Inc()
 			}
 		}
 		return
 	}
-	s.fastWMissStreak.Store(0)
-	if s.fastWRevoked.Load() && !s.fastWriteBusy() {
-		if s.fastWGrace.Add(-1) <= 0 {
-			s.fastWReenabled.Store(true)
-			s.fastWOps.Store(0)
-			s.fastWRevoked.Store(false)
-		}
+	if s.fastWHyst.calm() && !s.fastWriteBusy() && s.fastWHyst.graceOver() {
+		s.fastWReenabled.Store(true)
+		s.fastWOps.Store(0)
+		s.fastWHyst.revoked.Store(false)
 	}
 }

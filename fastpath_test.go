@@ -22,7 +22,7 @@ func fastCounter(t *testing.T, p *Protocol, name string, shard int) int64 {
 // A fast-path hit never reaches the RSM: no issued/completed protocol
 // events, no shard_acquires, only the fastpath_hit counter moves.
 func TestFastPathHitInvisibleToRSM(t *testing.T) {
-	p := newTestProtocol(t, 2, Options{Metrics: true}, []ResourceID{0, 1})
+	p := newTestProtocol(t, 2, opts(WithMetrics()), []ResourceID{0, 1})
 	tok, err := p.Read(bg, 0, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestFastPathGateClosedMiss(t *testing.T) {
 // queues behind its surrogate: the writer must block until the reader
 // releases, and the surrogate must show up in the protocol stats.
 func TestFastPathMigrationBlocksWriter(t *testing.T) {
-	p := newTestProtocol(t, 2, Options{Metrics: true}, []ResourceID{0, 1})
+	p := newTestProtocol(t, 2, opts(WithMetrics()), []ResourceID{0, 1})
 	r, err := p.Read(bg, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +160,7 @@ func TestFastPathMigrationBlocksWriter(t *testing.T) {
 // Double release of a fast-path token fails the claim CAS (sequences are
 // never reused) even after the slot has been re-claimed by another reader.
 func TestFastPathDoubleRelease(t *testing.T) {
-	p := newTestProtocol(t, 2, Options{}, []ResourceID{0, 1})
+	p := newTestProtocol(t, 2, nil, []ResourceID{0, 1})
 	tok, err := p.Read(bg, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +213,7 @@ func TestFastPathRevocationHysteresis(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !s.fastRevoked.Load() {
+	if !s.fastRHyst.revoked.Load() {
 		t.Fatalf("path not revoked after %d gate-closed misses", fastRevokeMisses)
 	}
 	if got := fastCounter(t, p, obs.MFastPathRevoked, 0); got != 1 {
@@ -226,7 +226,7 @@ func TestFastPathRevocationHysteresis(t *testing.T) {
 	// Gate open but path revoked: the next fastGraceReads reads are writer-
 	// free misses that count down the grace period.
 	for i := 0; i < fastGraceReads; i++ {
-		if !s.fastRevoked.Load() {
+		if !s.fastRHyst.revoked.Load() {
 			t.Fatalf("path re-enabled after only %d writer-free misses", i)
 		}
 		r, err := p.Read(bg, 3)
@@ -240,7 +240,7 @@ func TestFastPathRevocationHysteresis(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.fastRevoked.Load() {
+	if s.fastRHyst.revoked.Load() {
 		t.Fatal("path still revoked after the writer-free grace period")
 	}
 	r, err := p.Read(bg, 3)
@@ -255,20 +255,20 @@ func TestFastPathRevocationHysteresis(t *testing.T) {
 	}
 }
 
-// WithoutFastPath routes every read through the RSM and registers no
+// The zero FastPathConfig routes every read through the RSM and registers no
 // fastpath counters.
 func TestWithoutFastPath(t *testing.T) {
 	b := NewSpecBuilder(2)
 	if err := b.DeclareRequest([]ResourceID{0, 1}, nil); err != nil {
 		t.Fatal(err)
 	}
-	p := New(b.Build(), WithMetrics(), WithoutFastPath())
+	p := New(b.Build(), WithMetrics(), WithFastPath(FastPathConfig{}))
 	tok, err := p.Read(bg, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tok.fastSeq != 0 {
-		t.Fatal("fast-path token under WithoutFastPath")
+		t.Fatal("fast-path token with both planes off")
 	}
 	if err := p.Release(tok); err != nil {
 		t.Fatal(err)
@@ -277,7 +277,7 @@ func TestWithoutFastPath(t *testing.T) {
 		t.Errorf("RSM stats = %+v, want 1 issued / 1 completed", st)
 	}
 	if got := fastCounter(t, p, obs.MFastPathHit, 0); got != 0 {
-		t.Errorf("fastpath_hit = %d under WithoutFastPath, want 0", got)
+		t.Errorf("fastpath_hit = %d with both planes off, want 0", got)
 	}
 }
 
@@ -287,7 +287,7 @@ func TestWithoutFastPath(t *testing.T) {
 // writer FIFO, and entitlement intact — and never see a torn or phantom
 // lifecycle from the migration handshake.
 func TestFastPathTraceConsistent(t *testing.T) {
-	p := newTestProtocol(t, 2, Options{}, []ResourceID{0, 1})
+	p := newTestProtocol(t, 2, nil, []ResourceID{0, 1})
 	rec := &trace.Recorder{}
 	p.SetTracer(rec)
 
@@ -338,7 +338,7 @@ func TestFastPathTraceConsistent(t *testing.T) {
 // holds a phantom read lock and the component deadlocks. A tight read/write
 // loop on one resource reproduced this reliably before the fix.
 func TestFastPathRetractMigrationRace(t *testing.T) {
-	p := newTestProtocol(t, 2, Options{}, []ResourceID{0, 1})
+	p := newTestProtocol(t, 2, nil, []ResourceID{0, 1})
 	const iters = 20000
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -380,7 +380,7 @@ func TestFastPathRetractMigrationRace(t *testing.T) {
 // claimed by one CAS on the shard's writer word, no issued/completed
 // protocol events, only fastpath_write_hit moves.
 func TestWriterFastPathHit(t *testing.T) {
-	p := newTestProtocol(t, 2, Options{Metrics: true}, []ResourceID{0, 1})
+	p := newTestProtocol(t, 2, opts(WithMetrics()), []ResourceID{0, 1})
 	tok, err := p.Write(bg, 0, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -432,7 +432,7 @@ func TestWriterFastPathMixedFootprint(t *testing.T) {
 // exclusion holds through the surrogate, and the contender is woken by the
 // fast token's release.
 func TestWriterFastPathMigrationBlocksWriter(t *testing.T) {
-	p := newTestProtocol(t, 2, Options{Metrics: true}, []ResourceID{0, 1})
+	p := newTestProtocol(t, 2, opts(WithMetrics()), []ResourceID{0, 1})
 	w, err := p.Write(bg, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -482,7 +482,7 @@ func TestWriterFastPathMigrationBlocksWriter(t *testing.T) {
 // Same migration, reader contender: a read conflicting with the fast
 // writer's footprint must block behind the surrogate until release.
 func TestWriterFastPathMigrationBlocksReader(t *testing.T) {
-	p := newTestProtocol(t, 2, Options{Metrics: true}, []ResourceID{0, 1})
+	p := newTestProtocol(t, 2, opts(WithMetrics()), []ResourceID{0, 1})
 	w, err := p.Write(bg, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -521,7 +521,7 @@ func TestWriterFastPathMigrationBlocksReader(t *testing.T) {
 // Double release of a writer fast-path token fails the word CAS (the word
 // holds a fresh sequence or zero, never a stale one).
 func TestWriterFastPathDoubleRelease(t *testing.T) {
-	p := newTestProtocol(t, 2, Options{}, []ResourceID{0, 1})
+	p := newTestProtocol(t, 2, nil, []ResourceID{0, 1})
 	tok, err := p.Write(bg, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -604,7 +604,7 @@ func TestFastPathConfigPlanes(t *testing.T) {
 		t.Errorf("zero config RSM stats = %+v, want 2 issued / 2 completed", st)
 	}
 
-	p = build(DefaultFastPath())
+	p = New(parkTestSpec(t), WithMetrics()) // no WithFastPath: both planes on
 	if tok := roundtrip(p, false); tok.fastSeq == 0 {
 		t.Error("default: read did not take the fast path")
 	}
@@ -613,85 +613,72 @@ func TestFastPathConfigPlanes(t *testing.T) {
 	}
 }
 
-// Slot striping modes: StripeShared keeps the single global sequence,
-// StripePerP derives claims from per-slot counters. Both must admit
+// Per-P slot striping derives claims from per-slot counters. It must admit
 // uncontended reads, keep sequences unique (stale double release rejected),
 // and interoperate with writer migration.
 func TestFastPathSlotStriping(t *testing.T) {
-	for _, mode := range []SlotStriping{StripeShared, StripePerP} {
-		name := "perP"
-		if mode == StripeShared {
-			name = "shared"
+	t.Run("perP", func(t *testing.T) {
+		b := NewSpecBuilder(2)
+		if err := b.DeclareRequest([]ResourceID{0, 1}, nil); err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			b := NewSpecBuilder(2)
-			if err := b.DeclareRequest([]ResourceID{0, 1}, nil); err != nil {
-				t.Fatal(err)
-			}
-			p := New(b.Build(), WithMetrics(),
-				WithFastPath(FastPathConfig{Readers: true, Writers: true, SlotStriping: mode}))
+		p := New(b.Build(), WithMetrics())
 
-			tok, err := p.Read(bg, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tok.fastSeq == 0 {
-				t.Fatal("read did not take the fast path")
-			}
-			if err := p.Release(tok); err != nil {
-				t.Fatal(err)
-			}
-			if err := p.Release(tok); !errors.Is(err, ErrAlreadyReleased) {
-				t.Errorf("double release: got %v, want ErrAlreadyReleased", err)
-			}
+		tok, err := p.Read(bg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tok.fastSeq == 0 {
+			t.Fatal("read did not take the fast path")
+		}
+		if err := p.Release(tok); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Release(tok); !errors.Is(err, ErrAlreadyReleased) {
+			t.Errorf("double release: got %v, want ErrAlreadyReleased", err)
+		}
 
-			// Parallel churn with a migrating writer in the mix.
-			var wg sync.WaitGroup
-			for g := 0; g < 8; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for i := 0; i < 500; i++ {
-						var tok Token
-						var err error
-						if g == 0 && i%32 == 0 {
-							tok, err = p.Write(bg, 0)
-						} else {
-							tok, err = p.Read(bg, 0)
-						}
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						if err := p.Release(tok); err != nil {
-							t.Error(err)
-							return
-						}
+		// Parallel churn with a migrating writer in the mix.
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 500; i++ {
+					var tok Token
+					var err error
+					if g == 0 && i%32 == 0 {
+						tok, err = p.Write(bg, 0)
+					} else {
+						tok, err = p.Read(bg, 0)
 					}
-				}(g)
-			}
-			wg.Wait()
-			if st := p.Stats(); st.Issued != st.Completed+st.Canceled {
-				t.Errorf("leaked RSM requests: %+v", st)
-			}
-			if got := fastCounter(t, p, obs.MFastPathHit, 0); got == 0 {
-				t.Error("fastpath_hit = 0 under parallel readers")
-			}
-		})
-	}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if err := p.Release(tok); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		if st := p.Stats(); st.Issued != st.Completed+st.Canceled {
+			t.Errorf("leaked RSM requests: %+v", st)
+		}
+		if got := fastCounter(t, p, obs.MFastPathHit, 0); got == 0 {
+			t.Error("fastpath_hit = 0 under parallel readers")
+		}
+	})
 }
 
-// Writer-plane revocation hysteresis with a custom RevocationPolicy: busy
-// misses revoke the path, idle misses re-enable it, and a revocation that
-// fires again right after a re-enable with little fast traffic counts as a
-// storm.
+// Writer-plane revocation hysteresis: busy misses revoke the path, idle
+// misses re-enable it, and a revocation that fires again right after a
+// re-enable with little fast traffic counts as a storm.
 func TestWriterFastPathRevocationHysteresis(t *testing.T) {
-	const misses, grace = 4, 3
-	p := newGatedProtocol(t, WithMetrics(), WithFastPath(FastPathConfig{
-		Readers:    true,
-		Writers:    true,
-		Revocation: RevocationPolicy{RevokeMisses: misses, GraceReads: grace},
-	}))
+	const misses, grace = fastRevokeMisses, fastGraceReads
+	p := newGatedProtocol(t, WithMetrics())
 	s := p.shardOf(0)
 
 	// A fast reader claim on 3 keeps the component busy from the writer
@@ -716,7 +703,7 @@ func TestWriterFastPathRevocationHysteresis(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !s.fastWRevoked.Load() {
+	if !s.fastWHyst.revoked.Load() {
 		t.Fatalf("writer path not revoked after %d busy misses", misses)
 	}
 	if got := fastCounter(t, p, obs.MFastWriteRevoked, 0); got != 1 {
@@ -729,7 +716,7 @@ func TestWriterFastPathRevocationHysteresis(t *testing.T) {
 	// Component idle but path revoked: idle misses count down the grace
 	// period, then re-enable.
 	for i := 0; i < grace; i++ {
-		if !s.fastWRevoked.Load() {
+		if !s.fastWHyst.revoked.Load() {
 			t.Fatalf("writer path re-enabled after only %d idle misses", i)
 		}
 		w, err := p.Write(bg, 0)
@@ -743,7 +730,7 @@ func TestWriterFastPathRevocationHysteresis(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.fastWRevoked.Load() {
+	if s.fastWHyst.revoked.Load() {
 		t.Fatal("writer path still revoked after the idle grace period")
 	}
 	w, err := p.Write(bg, 0)
@@ -758,7 +745,7 @@ func TestWriterFastPathRevocationHysteresis(t *testing.T) {
 	}
 
 	// Storm: revoke again right after the re-enable, with only one fast op
-	// in between (< 2*RevokeMisses).
+	// in between (< 2*fastRevokeMisses).
 	r2, err := p.Read(bg, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -772,7 +759,7 @@ func TestWriterFastPathRevocationHysteresis(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !s.fastWRevoked.Load() {
+	if !s.fastWHyst.revoked.Load() {
 		t.Fatal("writer path not revoked by the second busy streak")
 	}
 	if got := fastCounter(t, p, obs.MFastWriteStorm, 0); got != 1 {
@@ -787,7 +774,7 @@ func TestWriterFastPathRevocationHysteresis(t *testing.T) {
 // requests, and upgradeable pairs churning one component. The claim/migrate/
 // retract handshakes must neither deadlock nor leak RSM requests.
 func TestWriterFastPathRaceStress(t *testing.T) {
-	p := newTestProtocol(t, 2, Options{}, []ResourceID{0, 1})
+	p := newTestProtocol(t, 2, nil, []ResourceID{0, 1})
 	const iters = 20000
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -872,7 +859,7 @@ func TestWriterFastPathRaceStress(t *testing.T) {
 func TestCrossComponentSlowPathRace(t *testing.T) {
 	// Components {0,1} and {2,3}; reads spanning both are undeclared and
 	// take the ordered multi-part slow path.
-	p := newTestProtocol(t, 4, Options{Metrics: true}, []ResourceID{0, 1}, []ResourceID{2, 3})
+	p := newTestProtocol(t, 4, opts(WithMetrics()), []ResourceID{0, 1}, []ResourceID{2, 3})
 
 	const (
 		crossers = 4

@@ -48,62 +48,28 @@ func (p *Protocol) AcquireIncremental(ctx context.Context, read, write, initialR
 		return nil, fmt.Errorf("%w: incremental potential set covers %d components", ErrCrossComponent, len(parts))
 	}
 	s := parts[0].s
+	initial := append(append([]ResourceID{}, initialRead...), initialWrite...)
 	// A non-empty write potential makes the request write-capable for its
 	// whole lifetime (any of those resources may be write-locked by a later
 	// ask), so the writer gate stays closed until Release. All-read
 	// incremental requests never write-lock anything and leave the gate
 	// open — they cannot delay a fast reader.
-	gate := len(write) > 0 && s.fastSlots != nil
-	if gate {
-		s.writerEnter()
-	}
-	// Announce the issuance to the writer fast path (and migrate a fast
-	// writer holding the word) before taking the mutex; the intent can drop
-	// right after unlock, which mirrored the issued request into rsmLive.
-	s.slowEnter()
-	s.mu.Lock()
-	id, err := s.rsm.IssueIncremental(s.tick(), read, write, initialRead, initialWrite, nil)
-	if err != nil {
-		s.unlock()
-		s.slowExit()
-		if gate {
-			s.writerExit()
-		}
-		return nil, err
-	}
-	// The request is in the RSM: mirror it into rsmLive now so the issuance
-	// intent can drop before the mutex does.
-	s.syncLive()
-	s.slowExit()
-	inc := &Incremental{s: s, id: id, gate: gate}
-	initial := append(append([]ResourceID{}, initialRead...), initialWrite...)
-	if ok, _ := s.rsm.Granted(id, initial); ok {
-		s.selfCheck()
-		s.unlock()
-		return inc, nil
-	}
-	w := s.newWaiter()
-	s.waiters[id] = w
-	s.selfCheck()
-	s.unlock()
-	if err := s.awaitCtx(ctx, w,
-		func() bool {
-			if ok, _ := s.rsm.Granted(id, initial); ok {
-				delete(s.waiters, id)
-				return true
-			}
-			return false
+	r := request{s: s, gate: len(write) > 0}
+	_, err = r.run(ctx,
+		func() (core.ReqID, error) {
+			return s.rsm.IssueIncremental(s.tick(), read, write, initialRead, initialWrite, nil)
 		},
-		func() error {
-			// Nothing granted yet (the initial ask is all-or-nothing), so the
-			// whole request can be withdrawn.
-			delete(s.waiters, id)
-			return s.rsm.CancelRequest(s.tick(), id)
-		}); err != nil {
-		inc.exitGate()
+		func(id core.ReqID) bool {
+			ok, _ := s.rsm.Granted(id, initial)
+			return ok
+		},
+		// Nothing is granted until the initial ask is (it is all-or-nothing),
+		// so cancellation withdraws the whole request.
+		nil)
+	if err != nil {
 		return nil, err
 	}
-	return inc, nil
+	return &Incremental{s: s, id: r.id, gate: r.gate}, nil
 }
 
 // Acquire blocks until the additional resources (which must belong to the
@@ -113,34 +79,24 @@ func (p *Protocol) AcquireIncremental(ctx context.Context, read, write, initialR
 // returned.
 func (inc *Incremental) Acquire(ctx context.Context, resources ...ResourceID) error {
 	s := inc.s
-	s.mu.Lock()
-	granted, err := s.rsm.Acquire(s.tick(), inc.id, resources)
-	if err != nil {
-		s.unlock()
-		if errors.Is(err, core.ErrUnknownRequest) {
-			return ErrAlreadyReleased
-		}
-		return err
-	}
-	if granted {
-		s.unlock()
-		return nil
-	}
-	w := s.newWaiter()
-	s.waiters[inc.id] = w
-	s.unlock()
-	return s.awaitCtx(ctx, w,
-		func() bool {
-			if ok, _ := s.rsm.Granted(inc.id, resources); ok {
-				delete(s.waiters, inc.id)
-				return true
-			}
-			return false
+	r := request{s: s}
+	held := false // the ask was granted synchronously
+	_, err := r.run(ctx,
+		func() (id core.ReqID, err error) {
+			held, err = s.rsm.Acquire(s.tick(), inc.id, resources)
+			return inc.id, err
 		},
-		func() error {
-			delete(s.waiters, inc.id)
-			return s.rsm.CancelAsk(s.tick(), inc.id)
-		})
+		func(id core.ReqID) bool {
+			if !held {
+				held, _ = s.rsm.Granted(id, resources)
+			}
+			return held
+		},
+		func(id core.ReqID) error { return s.rsm.CancelAsk(s.tick(), id) })
+	if errors.Is(err, core.ErrUnknownRequest) {
+		return ErrAlreadyReleased
+	}
+	return err
 }
 
 // Holds reports whether all the given resources are currently held.

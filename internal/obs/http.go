@@ -5,26 +5,43 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
+	"slices"
+	"strings"
 	"time"
 )
 
+// format reads a route's ?format= value, "" selecting the JSON default. Any
+// value outside accepted is answered 400 naming the accepted ones — a
+// scraper configured for a format this route does not serve must fail
+// loudly, not ingest JSON — and ok is false.
+func format(w http.ResponseWriter, r *http.Request, accepted ...string) (f string, ok bool) {
+	f = r.URL.Query().Get("format")
+	if f == "" || slices.Contains(accepted, f) {
+		return f, true
+	}
+	http.Error(w, fmt.Sprintf("unknown format %q (omit it for JSON, or use one of: %s)",
+		f, strings.Join(accepted, ", ")), http.StatusBadRequest)
+	return f, false
+}
+
 // Handler serves the registry's snapshot: JSON by default (expvar-style),
-// plain text with ?format=text, Prometheus text exposition 0.0.4 with
-// ?format=prom, OpenMetrics 1.0.0 (with _created series and exemplars) with
-// ?format=openmetrics. A nil registry serves an empty snapshot.
+// plain text with ?format=text, OpenMetrics 1.0.0 (with _created series and
+// exemplars) with ?format=openmetrics; any other format is a 400. A nil
+// registry serves an empty snapshot.
 func Handler(m *Metrics) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		f, ok := format(w, r, "text", "openmetrics")
+		if !ok {
+			return
+		}
 		var s Snapshot
 		if m != nil {
 			s = m.Snapshot()
 		}
-		switch r.URL.Query().Get("format") {
+		switch f {
 		case "text":
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			_, _ = w.Write([]byte(s.String()))
-		case "prom":
-			w.Header().Set("Content-Type", PrometheusContentType)
-			_ = WritePrometheus(w, s)
 		case "openmetrics":
 			w.Header().Set("Content-Type", OpenMetricsContentType)
 			_ = WriteOpenMetrics(w, s)
@@ -76,15 +93,19 @@ func TimeSeriesHandler(ts *TimeSeries) http.Handler {
 }
 
 // AttributionHandler serves the causal blocking-attribution report as JSON
-// (?format=text for the human rendering). report is called per request; a
-// nil func serves an empty report.
+// (?format=text for the human rendering; any other format is a 400). report
+// is called per request; a nil func serves an empty report.
 func AttributionHandler(report func() AttributionReport) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		f, ok := format(w, r, "text")
+		if !ok {
+			return
+		}
 		var rep AttributionReport
 		if report != nil {
 			rep = report()
 		}
-		if r.URL.Query().Get("format") == "text" {
+		if f == "text" {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			_, _ = w.Write([]byte(rep.String()))
 			return
@@ -97,17 +118,21 @@ func AttributionHandler(report func() AttributionReport) http.Handler {
 }
 
 // FlightHandler serves the flight recorder's current dump: JSON by default,
-// a Perfetto/Chrome trace with ?format=perfetto. A nil recorder serves an
-// empty dump.
+// a Perfetto/Chrome trace with ?format=perfetto; any other format is a 400.
+// A nil recorder serves an empty dump.
 func FlightHandler(fl *FlightRecorder) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		f, ok := format(w, r, "perfetto")
+		if !ok {
+			return
+		}
 		var d FlightDump
 		if fl != nil {
 			d = fl.Dump()
 		} else {
 			d.Version = flightDumpVersion
 		}
-		if r.URL.Query().Get("format") == "perfetto" {
+		if f == "perfetto" {
 			w.Header().Set("Content-Type", "application/json")
 			w.Header().Set("Content-Disposition", `attachment; filename="rnlp-flight.trace.json"`)
 			_ = d.WritePerfetto(w)
@@ -160,7 +185,7 @@ type DebugMuxConfig struct {
 // NewDebugMux builds the debug endpoint for long-running users of the
 // runtime lock:
 //
-//	/metrics                 metrics snapshot (JSON; ?format=text|prom|openmetrics)
+//	/metrics                 metrics snapshot (JSON; ?format=text|openmetrics)
 //	/bounds                  current bound-monitor report, plain text
 //	/debug/rnlp/flight       flight-recorder dump (JSON; ?format=perfetto)
 //	/debug/rnlp/watchdog     stall-watchdog firings and reports, JSON
@@ -193,13 +218,4 @@ func NewDebugMux(cfg DebugMuxConfig) *http.ServeMux {
 		_, _ = fmt.Fprintln(w, "ok")
 	})
 	return mux
-}
-
-// DebugMux is NewDebugMux for the pre-timeseries positional signature.
-//
-// Deprecated: use NewDebugMux, which also serves /debug/rnlp/timeseries and
-// /debug/rnlp/attr. DebugMux will be removed in v3; see the README's
-// migration table.
-func DebugMux(m *Metrics, bm *BoundMonitor, fl *FlightRecorder, wds ...*Watchdog) *http.ServeMux {
-	return NewDebugMux(DebugMuxConfig{Metrics: m, Bounds: bm, Flight: fl, Watchdogs: wds})
 }

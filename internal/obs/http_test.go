@@ -47,20 +47,26 @@ func TestHandlerNilMetrics(t *testing.T) {
 func TestDebugMux(t *testing.T) {
 	m := NewMetrics()
 	m.Counter("reqs").Add(1)
-	bm := NewBoundMonitor(4)
-	fl := NewFlightRecorder(1, 16)
-	wd := NewWatchdog(WatchdogConfig{})
-	mux := DebugMux(m, bm, fl, wd)
+	mux := NewDebugMux(DebugMuxConfig{
+		Metrics:   m,
+		Bounds:    NewBoundMonitor(4),
+		Flight:    NewFlightRecorder(1, 16),
+		Watchdogs: []*Watchdog{NewWatchdog(WatchdogConfig{})},
+	})
 
 	for path, want := range map[string]string{
-		"/metrics":                       "{",
-		"/metrics?format=prom":           "# TYPE rwrnlp_reqs counter",
-		"/bounds":                        "bound monitor",
-		"/debug/rnlp/flight":             `"version"`,
-		"/debug/rnlp/watchdog":           `"firings"`,
-		"/debug/pprof/":                  "profiles",
-		"/debug/pprof/goroutine?debug=1": "goroutine",
-		"/healthz":                       "ok",
+		"/metrics":                           "{",
+		"/metrics?format=text":               "reqs",
+		"/metrics?format=openmetrics":        "# TYPE rwrnlp_reqs counter",
+		"/bounds":                            "bound monitor",
+		"/debug/rnlp/flight":                 `"version"`,
+		"/debug/rnlp/flight?format=perfetto": "traceEvents",
+		"/debug/rnlp/attr":                   "{",
+		"/debug/rnlp/attr?format=text":       "",
+		"/debug/rnlp/watchdog":               `"firings"`,
+		"/debug/pprof/":                      "profiles",
+		"/debug/pprof/goroutine?debug=1":     "goroutine",
+		"/healthz":                           "ok",
 	} {
 		rr := httptest.NewRecorder()
 		mux.ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
@@ -72,13 +78,39 @@ func TestDebugMux(t *testing.T) {
 		}
 	}
 
+	// An unrecognised ?format= is a 400 naming the accepted values, never a
+	// silent fall-through to JSON: a scraper still configured for the removed
+	// Prometheus 0.0.4 exposition ("prom") must fail loudly.
+	for _, c := range []struct {
+		route    string
+		rejected []string
+		accepted string
+	}{
+		{"/metrics", []string{"prom", "json", "perfetto"}, "text, openmetrics"},
+		{"/debug/rnlp/attr", []string{"openmetrics"}, "text"},
+		{"/debug/rnlp/flight", []string{"text"}, "perfetto"},
+	} {
+		for _, f := range c.rejected {
+			path := c.route + "?format=" + f
+			rr := httptest.NewRecorder()
+			mux.ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
+			if rr.Code != 400 {
+				t.Errorf("%s: status %d, want 400", path, rr.Code)
+			}
+			if body := rr.Body.String(); !strings.Contains(body, "unknown format") || !strings.Contains(body, c.accepted) {
+				t.Errorf("%s: body %q does not name the accepted formats %q", path, body, c.accepted)
+			}
+		}
+	}
+
+	empty := NewDebugMux(DebugMuxConfig{})
 	rr := httptest.NewRecorder()
-	DebugMux(nil, nil, nil).ServeHTTP(rr, httptest.NewRequest("GET", "/bounds", nil))
+	empty.ServeHTTP(rr, httptest.NewRequest("GET", "/bounds", nil))
 	if !strings.Contains(rr.Body.String(), "no bound monitor") {
 		t.Errorf("nil bounds body = %q", rr.Body.String())
 	}
 	rr = httptest.NewRecorder()
-	DebugMux(nil, nil, nil).ServeHTTP(rr, httptest.NewRequest("GET", "/debug/rnlp/flight", nil))
+	empty.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/rnlp/flight", nil))
 	if rr.Code != 200 || !json.Valid(rr.Body.Bytes()) {
 		t.Errorf("nil flight route: status %d body %q", rr.Code, rr.Body.String())
 	}

@@ -7,12 +7,24 @@ import (
 	"strings"
 )
 
-// OpenMetrics text exposition (version 1.0.0) for the metrics registry: the
-// same series as WritePrometheus plus the OpenMetrics-only semantics —
-// counters carry the _total suffix and a _created series, histograms carry
-// _created, tail buckets carry exemplars in `# {labels} value` syntax, and
-// the body ends with `# EOF`. Scrape via the metrics endpoint with
-// ?format=openmetrics.
+// OpenMetrics text exposition (version 1.0.0) for the metrics registry, so
+// the runtime lock can be scraped by a stock Prometheus/VictoriaMetrics agent
+// without adding a client-library dependency. Scrape via the metrics endpoint
+// with ?format=openmetrics.
+//
+// Mapping:
+//
+//   - every metric is prefixed "rwrnlp_" and sanitized to the Prometheus
+//     name charset;
+//   - the registry's shard-labeled names ("shard_acquires{shard=3}") become
+//     proper labels: rwrnlp_shard_acquires{shard="3"};
+//   - counters carry the _total suffix and a _created series; gauges map 1:1;
+//   - histograms expose cumulative _bucket series over the registry's
+//     log-linear (HDR-style) bucket bounds — 16 equal-width sub-buckets per
+//     power of two, see metrics.go — of which only the non-empty ones are
+//     materialized, plus +Inf, with _sum, _count and _created; tail buckets
+//     carry exemplars in `# {labels} value` syntax;
+//   - the body ends with `# EOF`.
 //
 // Exemplars come from Histogram.ObserveTagged: each carries the request ID
 // and the flight-recorder sequence current when the sample was recorded, so
@@ -20,6 +32,42 @@ import (
 
 // OpenMetricsContentType is the Content-Type of the OpenMetrics text format.
 const OpenMetricsContentType = "application/openmetrics-text; version=1.0.0; charset=utf-8"
+
+// promName splits a registry name into a sanitized Prometheus metric name
+// and a label string ("" or `{shard="3"}`).
+func promName(name string) (metric, labels string) {
+	if i := strings.IndexByte(name, '{'); i >= 0 {
+		raw := strings.TrimSuffix(name[i+1:], "}")
+		name = name[:i]
+		if k, v, ok := strings.Cut(raw, "="); ok {
+			labels = fmt.Sprintf("{%s=%q}", sanitizePromName(k), v)
+		}
+	}
+	return "rwrnlp_" + sanitizePromName(name), labels
+}
+
+func sanitizePromName(s string) string {
+	var b strings.Builder
+	for i, r := range s {
+		ok := r == '_' || r == ':' ||
+			(r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') ||
+			(r >= '0' && r <= '9' && i > 0)
+		if ok {
+			b.WriteRune(r)
+		} else {
+			b.WriteByte('_')
+		}
+	}
+	return b.String()
+}
+
+// promSeries groups all labeled series of one metric so the # TYPE header is
+// emitted once per metric.
+type promSeries struct {
+	metric string
+	kind   string // "counter" | "gauge" | "histogram"
+	lines  []string
+}
 
 // omCreated renders a _created value: unix seconds with millisecond precision.
 func omCreated(ns int64) string {
@@ -80,6 +128,7 @@ func WriteOpenMetrics(w io.Writer, s Snapshot) error {
 	for _, name := range histNames {
 		h := s.Hists[name]
 		metric, labels := promName(name)
+		// Merge the shard label (if any) with the le label.
 		le := func(bound string) string {
 			if labels == "" {
 				return fmt.Sprintf("{le=%q}", bound)
@@ -125,6 +174,8 @@ func WriteOpenMetrics(w io.Writer, s Snapshot) error {
 		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", ps.metric, ps.kind); err != nil {
 			return err
 		}
+		// Lines keep insertion order: sorted registry names, and within one
+		// histogram series the cumulative buckets in increasing le order.
 		for _, line := range ps.lines {
 			if _, err := fmt.Fprintln(w, line); err != nil {
 				return err

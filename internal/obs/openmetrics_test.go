@@ -4,12 +4,15 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// omTestMetrics is promTestMetrics with a deterministic registry clock (so
-// _created values are stable) and exemplar-tagged tail samples.
+// omTestMetrics builds a registry with a fixed, deterministic population —
+// aggregate and shard-labeled counters, a gauge, histograms with and without
+// a shard label — a deterministic registry clock (so _created values are
+// stable) and an exemplar-tagged tail sample.
 func omTestMetrics() *Metrics {
 	m := NewMetrics()
 	var tick int64 = 1700000000_000000000
@@ -55,8 +58,9 @@ func TestWriteOpenMetricsGolden(t *testing.T) {
 }
 
 // OpenMetrics structural requirements: _total counters, _created series for
-// counters and histograms, exemplar syntax on the tail bucket, exactly one
-// trailing # EOF, and determinism across calls.
+// counters and histograms, well-formed shard labels (merged with le on
+// histogram buckets), monotone cumulative buckets, exemplar syntax on the
+// tail bucket, exactly one trailing # EOF, and determinism across calls.
 func TestWriteOpenMetricsStructure(t *testing.T) {
 	s := omTestMetrics().Snapshot()
 	var a, b strings.Builder
@@ -82,16 +86,39 @@ func TestWriteOpenMetricsStructure(t *testing.T) {
 		"rwrnlp_protocol_issued_total 7\n",
 		"rwrnlp_protocol_issued_created ",
 		`rwrnlp_shard_acquires_total{shard="0"} 3` + "\n",
+		`rwrnlp_shard_acquires_total{shard="1"} 4` + "\n",
 		"# TYPE rwrnlp_protocol_inflight gauge\n",
 		"rwrnlp_protocol_inflight 2\n",
 		"# TYPE rwrnlp_acq_delay_read histogram\n",
 		"rwrnlp_acq_delay_read_created ",
 		"rwrnlp_acq_delay_read_sum 921\n",
 		"rwrnlp_acq_delay_read_count 4\n",
+		`rwrnlp_acq_delay_read_bucket{le="+Inf"} 4` + "\n",
+		`rwrnlp_shard_combine_wait_ns_bucket{shard="1",le="+Inf"} 1` + "\n",
+		`rwrnlp_shard_combine_wait_ns_count{shard="1"} 1` + "\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition lacks %q:\n%s", want, out)
 		}
+	}
+	// Cumulative bucket counts (the field after the series name; an exemplar
+	// may follow it) must be non-decreasing within each histogram series.
+	var prev int64
+	inBuckets := false
+	for _, line := range strings.Split(out, "\n") {
+		if !strings.Contains(line, "_bucket") {
+			inBuckets, prev = false, 0
+			continue
+		}
+		fields := strings.Fields(line)
+		v, err := strconv.ParseInt(fields[1], 10, 64)
+		if err != nil {
+			t.Fatalf("unparsable bucket line %q: %v", line, err)
+		}
+		if inBuckets && v < prev {
+			t.Errorf("cumulative bucket decreased: %q after %d", line, prev)
+		}
+		prev, inBuckets = v, true
 	}
 	// Gauges must NOT get _total/_created.
 	for _, bad := range []string{"rwrnlp_protocol_inflight_total", "rwrnlp_protocol_inflight_created"} {

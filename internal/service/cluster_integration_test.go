@@ -89,7 +89,7 @@ func TestClusterTraceIntegration(t *testing.T) {
 			// holder would be untracked and the blocker unnameable (the
 			// cockpit shows such waits as path=untracked).
 			Options: []rwrnlp.Option{
-				rwrnlp.WithPlaceholders(), rwrnlp.WithMetrics(), rwrnlp.WithoutFastPath(),
+				rwrnlp.WithPlaceholders(), rwrnlp.WithMetrics(), rwrnlp.WithFastPath(rwrnlp.FastPathConfig{}),
 				rwrnlp.WithFlightRecorder(256), rwrnlp.WithAttribution(10),
 				rwrnlp.WithTimeSeries(100*time.Millisecond, 0),
 			},

@@ -138,10 +138,17 @@ func (s *System) Build(opt Options) *STM {
 		}
 	}
 	spec := b.Build()
+	var opts []rwrnlp.Option
+	if opt.Placeholders {
+		opts = append(opts, rwrnlp.WithPlaceholders())
+	}
+	if opt.Spin {
+		opts = append(opts, rwrnlp.WithSpin())
+	}
 	return &STM{
 		sys:  s,
 		spec: spec,
-		p:    rwrnlp.New(spec, rwrnlp.Options{Placeholders: opt.Placeholders, Spin: opt.Spin}),
+		p:    rwrnlp.New(spec, opts...),
 	}
 }
 

@@ -91,7 +91,7 @@ func TestCheckDetectsCorruption(t *testing.T) {
 // The runtime protocol under concurrent load produces a stream that passes
 // every check, in all option combinations and with all request forms.
 func TestCheckRuntimeExecution(t *testing.T) {
-	for _, opt := range []rwrnlp.Options{{}, {Placeholders: true}} {
+	for _, opt := range [][]rwrnlp.Option{nil, {rwrnlp.WithPlaceholders()}} {
 		b := rwrnlp.NewSpecBuilder(4)
 		if err := b.DeclareRequest([]rwrnlp.ResourceID{0, 1}, nil); err != nil {
 			t.Fatal(err)
@@ -99,7 +99,7 @@ func TestCheckRuntimeExecution(t *testing.T) {
 		if err := b.DeclareRequest([]rwrnlp.ResourceID{2, 3}, nil); err != nil {
 			t.Fatal(err)
 		}
-		p := rwrnlp.New(b.Build(), opt)
+		p := rwrnlp.New(b.Build(), opt...)
 		rec := &Recorder{}
 		p.SetTracer(rec)
 

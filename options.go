@@ -14,7 +14,6 @@ type config struct {
 	metrics      bool
 	sharding     bool
 	fast         FastPathConfig
-	park         ParkMode
 
 	flightDepth int                 // per-shard flight ring slots; 0 disables
 	watchdog    *obs.WatchdogConfig // nil disables the stall watchdog
@@ -25,79 +24,12 @@ type config struct {
 }
 
 func defaultConfig() config {
-	return config{sharding: true, fast: DefaultFastPath()}
-}
-
-// ParkMode selects how unsatisfied requests block on the contended slow
-// path (see WithParking).
-type ParkMode int
-
-const (
-	// ParkAuto lets the implementation choose; it currently selects
-	// ParkSema.
-	ParkAuto ParkMode = iota
-
-	// ParkSema parks each unsatisfied request on a futex-style per-request
-	// token semaphore: a single packed state word (idle/parked/signaled/
-	// cancelled) driven by CAS, with a bounded spin/yield burst in front of
-	// the park. Signaling a grant is one CAS plus at most one runtime
-	// wakeup, so a batched release wakes exactly the entitled requests —
-	// no broadcast, no thundering herd. Signal-vs-cancel races settle by
-	// whichever CAS lands first (park.go).
-	ParkSema
-
-	// ParkChan parks each unsatisfied request on a channel closed under a
-	// sync.Once — the pre-parking machinery, kept as an ablation baseline
-	// for the park-overhead CI gate. Strictly more overhead per wakeup
-	// under contention; do not use it outside benchmarks.
-	ParkChan
-)
-
-// sema resolves the mode (ParkAuto selects ParkSema).
-func (m ParkMode) sema() bool { return m != ParkChan }
-
-// SlotStriping selects how reader fast-path claims are assigned to the
-// per-shard visible-readers slots (see FastPathConfig.SlotStriping).
-type SlotStriping int
-
-const (
-	// StripeAuto lets the implementation choose; it currently selects
-	// StripePerP.
-	StripeAuto SlotStriping = iota
-
-	// StripePerP stripes claims across the slot array by a goroutine-local
-	// hint (derived from the goroutine's stack address — no runtime_procPin,
-	// no TLS), so readers running on different Ps claim different, padded
-	// slots and the claim CAS stays core-local. Claim sequences are minted
-	// from a per-slot counter, so the hot path never touches a shared
-	// sequence word at all.
-	StripePerP
-
-	// StripeShared probes from a hash of one global claim-sequence counter —
-	// the original PR 4 layout. Marginally less memory traffic at low core
-	// counts; the shared counter becomes a contended line at high ones.
-	StripeShared
-)
-
-// RevocationPolicy tunes the BRAVO-style revocation hysteresis shared by
-// both fast-path planes. The zero value selects the defaults (128 misses to
-// revoke, 64 writer-free/idle observations to re-enable).
-type RevocationPolicy struct {
-	// RevokeMisses is the streak of conflict-induced fast-path misses after
-	// which the plane revokes itself and stops paying the publish/retract
-	// overhead. <= 0 selects 128.
-	RevokeMisses int
-
-	// GraceReads is how many subsequent fast-eligible acquisitions (served
-	// by the RSM) must observe the conflict gone — component writer-free for
-	// the reader plane, fully idle for the writer plane — before the plane
-	// re-enables. <= 0 selects 64.
-	GraceReads int
+	return config{sharding: true, fast: FastPathConfig{Readers: true, Writers: true}}
 }
 
 // FastPathConfig is the unified configuration of the lock-free fast paths
-// (see WithFastPath). The zero value disables both planes; DefaultFastPath
-// is what a Protocol runs with when WithFastPath is not given.
+// (see WithFastPath). The zero value disables both planes; a Protocol built
+// without WithFastPath runs with both enabled.
 type FastPathConfig struct {
 	// Readers enables the BRAVO-style reader fast path: an all-read
 	// acquisition within one component, admitted while the component has no
@@ -116,50 +48,15 @@ type FastPathConfig struct {
 	// surrogate write request in the RSM; grant decisions thereafter match
 	// the all-slow baseline (fastpath.go).
 	Writers bool
-
-	// Revocation tunes the per-plane revocation hysteresis.
-	Revocation RevocationPolicy
-
-	// SlotStriping selects the reader-slot assignment strategy.
-	SlotStriping SlotStriping
-}
-
-// DefaultFastPath returns the fast-path configuration a Protocol runs with
-// when WithFastPath is not given: both planes enabled, default revocation
-// hysteresis, automatic (per-P) slot striping.
-func DefaultFastPath() FastPathConfig {
-	return FastPathConfig{Readers: true, Writers: true}
 }
 
 // enabled reports whether any fast-path plane is on (the shard allocates
 // its slot array and gate machinery only then).
 func (fc FastPathConfig) enabled() bool { return fc.Readers || fc.Writers }
 
-// revokeMisses resolves the RevokeMisses default.
-func (fc FastPathConfig) revokeMisses() int64 {
-	if fc.Revocation.RevokeMisses <= 0 {
-		return fastRevokeMisses
-	}
-	return int64(fc.Revocation.RevokeMisses)
-}
-
-// graceReads resolves the GraceReads default.
-func (fc FastPathConfig) graceReads() int64 {
-	if fc.Revocation.GraceReads <= 0 {
-		return fastGraceReads
-	}
-	return int64(fc.Revocation.GraceReads)
-}
-
-// perP resolves the SlotStriping choice (StripeAuto selects StripePerP).
-func (fc FastPathConfig) perP() bool { return fc.SlotStriping != StripeShared }
-
 // Option configures a Protocol at construction:
 //
 //	p := rwrnlp.New(spec, rwrnlp.WithPlaceholders(), rwrnlp.WithMetrics())
-//
-// The legacy Options struct also implements Option, so v1 call sites keep
-// compiling unchanged.
 type Option interface {
 	apply(*config)
 }
@@ -197,7 +94,7 @@ func WithSelfCheck() Option {
 // recording into one shared registry, per-shard acquire/contention counters
 // (shard-labeled names), plus wall-clock acquisition/blocking/CS histograms
 // recorded directly on the acquisition path. Retrieve with Protocol.Metrics;
-// serve with Protocol.DebugHandler. When disabled the only cost on the
+// serve with Protocol.DebugMux. When disabled the only cost on the
 // acquisition path is a nil check.
 func WithMetrics() Option {
 	return optionFunc(func(c *config) { c.metrics = true })
@@ -215,34 +112,14 @@ func WithoutSharding() Option {
 
 // WithFastPath replaces the Protocol's fast-path configuration wholesale
 // with fc: which planes run lock-free (Readers — the BRAVO visible-readers
-// table; Writers — the single-CAS uncontended-writer word), how aggressively
-// each plane revokes itself under conflict pressure, and how reader claims
-// stripe across the slot array. The zero FastPathConfig disables both planes
-// and routes every acquisition through the RSM — do that when every
-// acquisition must appear in Stats/Snapshot and the protocol event stream (a
-// fast acquisition is visible there only if a conflicting request migrated
-// it; otherwise its only telemetry is the per-shard fastpath_* counters), or
-// when benchmarking the pure RSM path.
+// table; Writers — the single-CAS uncontended-writer word). The zero
+// FastPathConfig disables both planes and routes every acquisition through
+// the RSM — do that when every acquisition must appear in Stats/Snapshot and
+// the protocol event stream (a fast acquisition is visible there only if a
+// conflicting request migrated it; otherwise its only telemetry is the
+// per-shard fastpath_* counters), or when benchmarking the pure RSM path.
 func WithFastPath(fc FastPathConfig) Option {
 	return optionFunc(func(c *config) { c.fast = fc })
-}
-
-// WithoutFastPath disables both fast-path planes.
-//
-// Deprecated: use WithFastPath(FastPathConfig{}) — or a partial
-// FastPathConfig to disable one plane only. WithoutFastPath will be removed
-// in v3.
-func WithoutFastPath() Option {
-	return WithFastPath(FastPathConfig{})
-}
-
-// WithParking selects the slow-path parking implementation. The default
-// (ParkAuto) is the per-request token-semaphore parker; ParkChan restores
-// the legacy chan-close waiter for ablation benchmarks. The choice affects
-// only how an already-unsatisfied request blocks and wakes — grant order
-// and every protocol invariant are identical under both modes.
-func WithParking(m ParkMode) Option {
-	return optionFunc(func(c *config) { c.park = m })
 }
 
 // WithFlightRecorder enables the black-box flight recorder: every protocol
@@ -323,33 +200,4 @@ func WithTimeSeries(interval time.Duration, capacity int) Option {
 // not use this option while tracing.
 func WithProfilingLabels() Option {
 	return optionFunc(func(c *config) { c.profLabels = true })
-}
-
-// Options is the v1 configuration struct.
-//
-// Deprecated: pass functional options to New instead — Options{Placeholders:
-// true} becomes WithPlaceholders(), and so on. Options implements Option, so
-// existing New(spec, Options{…}) call sites keep compiling; it always
-// implies WithoutSharding-off (sharding stays enabled). Options will be
-// removed in v3; see the README's migration table.
-type Options struct {
-	// Placeholders enables the Sec. 3.4 optimization. See WithPlaceholders.
-	Placeholders bool
-
-	// Spin makes waiters busy-wait. See WithSpin.
-	Spin bool
-
-	// SelfCheck verifies structural invariants after every invocation. See
-	// WithSelfCheck.
-	SelfCheck bool
-
-	// Metrics enables the observability layer. See WithMetrics.
-	Metrics bool
-}
-
-func (o Options) apply(c *config) {
-	c.placeholders = o.Placeholders
-	c.spin = o.Spin
-	c.selfCheck = o.SelfCheck
-	c.metrics = o.Metrics
 }

@@ -35,14 +35,9 @@ import (
 // within the burst, and the request resolves without a scheduler round
 // trip at all (counted as park_direct).
 //
-// ParkChan retains the previous chan-close/sync.Once waiter as an ablation
-// baseline; `make park-overhead` prices the two against each other and CI
-// fails unless the semaphore parker is strictly faster under contention.
-//
-// The token design buys one structural advantage the close design cannot
-// have: a drained one-token channel is reusable, while a closed channel is
-// one-shot. Semaphore waiters therefore recycle through a sync.Pool,
-// removing the waiter+channel allocation from every contended acquisition.
+// A drained one-token channel is reusable (a closed channel would be
+// one-shot), so waiters recycle through a sync.Pool, removing the
+// waiter+channel allocation from every contended acquisition.
 // Recycling is only legal on paths where the signaler has provably finished
 // with the waiter — the owner consumed the token (the send happens-before
 // the receive) or observed the direct-delivery CAS (the signaler's last
@@ -77,59 +72,35 @@ const (
 	parkSpurious                      // owner already cancelled; dropped
 )
 
-// waiter is the parked state of one unsatisfied request. In semaphore mode
-// (the default) state drives everything and sema carries at most one token;
-// in legacy chan mode (ParkChan) sema is close-signaled under a sync.Once
-// with done mirroring it, exactly the pre-PR 9 machinery, kept as the
-// ablation baseline.
+// waiter is the parked state of one unsatisfied request: state drives
+// everything and sema carries at most one token.
 type waiter struct {
-	state  atomic.Uint32
-	sema   chan struct{}
-	legacy bool
-	done   atomic.Bool // legacy mode only
-	once   sync.Once   // legacy mode only
+	state atomic.Uint32
+	sema  chan struct{}
 }
 
-// waiterPool recycles semaphore-mode waiters (see the file comment for why
-// legacy chan-close waiters cannot be pooled). Pooled waiters are always in
-// state parkIdle with an empty channel.
+// waiterPool recycles waiters. Pooled waiters are always in state parkIdle
+// with an empty channel.
 var waiterPool = sync.Pool{
 	New: func() any { return &waiter{sema: make(chan struct{}, 1)} },
 }
 
-// newWaiter mints a waiter in the shard's configured parking mode.
-func (s *shard) newWaiter() *waiter {
-	if s.parkChan {
-		return &waiter{sema: make(chan struct{}), legacy: true}
-	}
-	return waiterPool.Get().(*waiter)
-}
+// newWaiter takes a waiter from the pool.
+func newWaiter() *waiter { return waiterPool.Get().(*waiter) }
 
-// recycle returns a semaphore waiter to the pool. Callers must guarantee
-// the signaler is done with it: the wakeup token was consumed, or direct
-// delivery was observed via the state word. Never call on a cancellation
-// path — a late spurious signal may still be in flight.
+// recycle returns a waiter to the pool. Callers must guarantee the signaler
+// is done with it: the wakeup token was consumed, or direct delivery was
+// observed via the state word. Never call on a cancellation path — a late
+// spurious signal may still be in flight.
 func (w *waiter) recycle() {
-	if w.legacy {
-		return
-	}
 	w.state.Store(parkIdle)
 	waiterPool.Put(w)
 }
 
 // signal delivers the waiter's one wakeup and reports what it found. Safe
-// to call at most once per waiter in semaphore mode (the waiters map hands
-// each waiter out exactly once); legacy mode tolerates repeats via the Once.
+// to call at most once per waiter (the waiters map hands each waiter out
+// exactly once).
 func (w *waiter) signal() parkOutcome {
-	if w.legacy {
-		out := parkSpurious
-		w.once.Do(func() {
-			w.done.Store(true)
-			close(w.sema)
-			out = parkWokeParked
-		})
-		return out
-	}
 	for {
 		switch w.state.Load() {
 		case parkIdle:
@@ -152,18 +123,10 @@ func (w *waiter) signal() parkOutcome {
 	}
 }
 
-// signaled reports whether the wakeup has been delivered.
-func (w *waiter) signaled() bool {
-	if w.legacy {
-		return w.done.Load()
-	}
-	return w.state.Load() == parkSignaled
-}
-
 // cancel resolves the owner's side of a signal-vs-cancel race: true means
 // the cancellation won (the request must be withdrawn or re-checked under
 // the shard mutex), false means a signal's CAS already landed and its token
-// is in flight. Semaphore mode only.
+// is in flight.
 func (w *waiter) cancel() bool {
 	return w.state.CompareAndSwap(parkParked, parkCancelled)
 }
@@ -208,31 +171,8 @@ func (w *waiter) park(spin bool) bool {
 	return w.state.CompareAndSwap(parkIdle, parkParked)
 }
 
-// wait blocks until signaled (no cancellation). Legacy mode preserves the
-// pre-PR 9 behavior — block on the closed channel, with the spin option
-// running the old yield burst first — except that its sleep ladder now also
-// re-checks done before every sleep and is capped at parkMaxSleep (the
-// 127µs-oversleep fix applies to both parkers; the ablation pair prices
-// chan-close wakeups against token handoff, not a known latency bug).
+// wait blocks until signaled (no cancellation).
 func (w *waiter) wait(spin bool) {
-	if w.legacy {
-		if spin {
-			for i := 0; i < parkSpinYields; i++ {
-				if w.done.Load() {
-					return
-				}
-				runtime.Gosched()
-			}
-			for d := time.Microsecond; d <= parkMaxSleep; d *= 2 {
-				if w.done.Load() {
-					return
-				}
-				time.Sleep(d)
-			}
-		}
-		<-w.sema
-		return
-	}
 	if w.park(spin) {
 		<-w.sema
 	}

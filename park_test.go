@@ -45,7 +45,7 @@ func TestWaiterStateMachine(t *testing.T) {
 		if got := w.signal(); got != parkDirect {
 			t.Fatalf("signal on idle waiter = %v, want parkDirect", got)
 		}
-		if !w.signaled() {
+		if w.state.Load() != parkSignaled {
 			t.Fatal("waiter not signaled after direct signal")
 		}
 		if w.park(false) {
@@ -108,20 +108,6 @@ func TestWaiterStateMachine(t *testing.T) {
 		default:
 			t.Fatal("no token in flight after losing cancel")
 		}
-	})
-
-	t.Run("legacy-once", func(t *testing.T) {
-		w := &waiter{sema: make(chan struct{}), legacy: true}
-		if got := w.signal(); got != parkWokeParked {
-			t.Fatalf("first legacy signal = %v, want parkWokeParked", got)
-		}
-		if got := w.signal(); got != parkSpurious {
-			t.Fatalf("second legacy signal = %v, want parkSpurious", got)
-		}
-		if !w.signaled() {
-			t.Fatal("legacy waiter not signaled after close")
-		}
-		w.wait(false) // must return immediately on the closed channel
 	})
 }
 
@@ -200,127 +186,119 @@ func TestParkWakeupAccounting(t *testing.T) {
 
 // TestParkSignalCancelStorm is the signal-vs-ctx-cancel storm (the PR 7
 // lease-race pattern): four jittered workers race short context deadlines
-// against contended acquisitions under -race, in both parking modes. The
-// assertions are: no lost wakeup (the storm drains), no double grant
+// against contended acquisitions under -race. The assertions are: no lost wakeup (the storm drains), no double grant
 // (writer exclusivity counter + WithSelfCheck), and exact accounting after
 // the drain — every non-immediate grant was delivered as exactly one
 // wakeup/direct signal, with spurious deliveries only for cancelled
 // waiters.
 func TestParkSignalCancelStorm(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		park ParkMode
-	}{{"sema", ParkSema}, {"chan", ParkChan}} {
-		mode := mode
-		t.Run("park="+mode.name, func(t *testing.T) {
-			p := New(parkTestSpec(t),
-				WithPlaceholders(),
-				WithMetrics(),
-				WithSelfCheck(),
-				WithParking(mode.park),
-				WithFlightRecorder(512),
-				WithFastPath(FastPathConfig{}))
-			// On failure, persist the flight rings so the counterexample
-			// survives the runner (CI uploads *.flight.json as artifacts).
-			defer func() {
-				if !t.Failed() {
-					return
-				}
-				buf, err := json.MarshalIndent(p.FlightRecorder().Dump(), "", "  ")
-				if err == nil {
-					name := "park-storm-" + mode.name + ".flight.json"
-					if werr := os.WriteFile(name, buf, 0o644); werr == nil {
-						t.Logf("flight dump written to %s", name)
-					}
-				}
-			}()
-
-			const workers = 4
-			iters := 300
-			if testing.Short() {
-				iters = 60
+	t.Run("park=sema", func(t *testing.T) {
+		p := New(parkTestSpec(t),
+			WithPlaceholders(),
+			WithMetrics(),
+			WithSelfCheck(),
+			WithFlightRecorder(512),
+			WithFastPath(FastPathConfig{}))
+		// On failure, persist the flight rings so the counterexample
+		// survives the runner (CI uploads *.flight.json as artifacts).
+		defer func() {
+			if !t.Failed() {
+				return
 			}
+			buf, err := json.MarshalIndent(p.FlightRecorder().Dump(), "", "  ")
+			if err == nil {
+				const name = "park-storm-sema.flight.json"
+				if werr := os.WriteFile(name, buf, 0o644); werr == nil {
+					t.Logf("flight dump written to %s", name)
+				}
+			}
+		}()
 
-			var excl atomic.Int32 // writer-exclusivity witness
-			var granted, cancelled atomic.Int64
-			var wg sync.WaitGroup
-			for wk := 0; wk < workers; wk++ {
-				wg.Add(1)
-				go func(wk int) {
-					defer wg.Done()
-					for i := 0; i < iters; i++ {
-						// Jitter the deadline across iterations so the cancel
-						// lands before, during, and after the grant.
-						ttl := time.Duration(50+(wk*7+i)%9*40) * time.Microsecond
-						ctx, cancel := context.WithTimeout(bgCtx, ttl)
-						write := (wk+i)%3 == 0
-						var tok Token
-						var err error
+		const workers = 4
+		iters := 300
+		if testing.Short() {
+			iters = 60
+		}
+
+		var excl atomic.Int32 // writer-exclusivity witness
+		var granted, cancelled atomic.Int64
+		var wg sync.WaitGroup
+		for wk := 0; wk < workers; wk++ {
+			wg.Add(1)
+			go func(wk int) {
+				defer wg.Done()
+				for i := 0; i < iters; i++ {
+					// Jitter the deadline across iterations so the cancel
+					// lands before, during, and after the grant.
+					ttl := time.Duration(50+(wk*7+i)%9*40) * time.Microsecond
+					ctx, cancel := context.WithTimeout(bgCtx, ttl)
+					write := (wk+i)%3 == 0
+					var tok Token
+					var err error
+					if write {
+						tok, err = p.Write(ctx, 0, 1)
+					} else {
+						tok, err = p.Read(ctx, 0, 1)
+					}
+					cancel()
+					switch {
+					case err == nil:
+						granted.Add(1)
 						if write {
-							tok, err = p.Write(ctx, 0, 1)
-						} else {
-							tok, err = p.Read(ctx, 0, 1)
-						}
-						cancel()
-						switch {
-						case err == nil:
-							granted.Add(1)
-							if write {
-								if v := excl.Add(1); v != 1 {
-									t.Errorf("double grant: writer entered with %d holders", v)
-								}
-								excl.Add(-1)
-							} else if v := excl.Load(); v != 0 {
-								t.Errorf("double grant: reader overlapped a writer (%d)", v)
+							if v := excl.Add(1); v != 1 {
+								t.Errorf("double grant: writer entered with %d holders", v)
 							}
-							if rerr := p.Release(tok); rerr != nil {
-								t.Errorf("release: %v", rerr)
-							}
-						case errors.Is(err, context.DeadlineExceeded):
-							cancelled.Add(1)
-						default:
-							t.Errorf("worker %d iter %d: unexpected error %v", wk, i, err)
+							excl.Add(-1)
+						} else if v := excl.Load(); v != 0 {
+							t.Errorf("double grant: reader overlapped a writer (%d)", v)
 						}
+						if rerr := p.Release(tok); rerr != nil {
+							t.Errorf("release: %v", rerr)
+						}
+					case errors.Is(err, context.DeadlineExceeded):
+						cancelled.Add(1)
+					default:
+						t.Errorf("worker %d iter %d: unexpected error %v", wk, i, err)
 					}
-				}(wk)
-			}
-			wg.Wait()
+				}
+			}(wk)
+		}
+		wg.Wait()
 
-			// No lost wakeup: nothing is left parked and the component is
-			// immediately writable again.
-			s := p.shards[0]
-			s.mu.Lock()
-			left := len(s.waiters)
-			s.mu.Unlock()
-			if left != 0 {
-				t.Fatalf("%d waiters left parked after drain", left)
-			}
-			ctx, cancelFn := context.WithTimeout(bgCtx, 5*time.Second)
-			tok, err := p.Write(ctx, 0, 1)
-			cancelFn()
-			if err != nil {
-				t.Fatalf("component not free after storm: %v", err)
-			}
-			if err := p.Release(tok); err != nil {
-				t.Fatal(err)
-			}
+		// No lost wakeup: nothing is left parked and the component is
+		// immediately writable again.
+		s := p.shards[0]
+		s.mu.Lock()
+		left := len(s.waiters)
+		s.mu.Unlock()
+		if left != 0 {
+			t.Fatalf("%d waiters left parked after drain", left)
+		}
+		ctx, cancelFn := context.WithTimeout(bgCtx, 5*time.Second)
+		tok, err := p.Write(ctx, 0, 1)
+		cancelFn()
+		if err != nil {
+			t.Fatalf("component not free after storm: %v", err)
+		}
+		if err := p.Release(tok); err != nil {
+			t.Fatal(err)
+		}
 
-			// Exact accounting: every signal the shard delivered is classified
-			// once, and every request that blocked and was satisfied received
-			// exactly one delivery.
-			wake, direct, spur := parkCounters(p)
-			snap := p.Metrics().Snapshot()
-			blocked := snap.Counters[obs.MSatisfied] - snap.Counters[obs.MImmediate]
-			if wake+direct+spur != blocked {
-				t.Fatalf("park accounting: wakeups=%d direct=%d spurious=%d (sum %d), want satisfied-immediate=%d",
-					wake, direct, spur, wake+direct+spur, blocked)
-			}
-			if granted.Load() == 0 || cancelled.Load() == 0 {
-				t.Logf("storm imbalance: granted=%d cancelled=%d (still valid, but jitter covered one side only)",
-					granted.Load(), cancelled.Load())
-			}
-		})
-	}
+		// Exact accounting: every signal the shard delivered is classified
+		// once, and every request that blocked and was satisfied received
+		// exactly one delivery.
+		wake, direct, spur := parkCounters(p)
+		snap := p.Metrics().Snapshot()
+		blocked := snap.Counters[obs.MSatisfied] - snap.Counters[obs.MImmediate]
+		if wake+direct+spur != blocked {
+			t.Fatalf("park accounting: wakeups=%d direct=%d spurious=%d (sum %d), want satisfied-immediate=%d",
+				wake, direct, spur, wake+direct+spur, blocked)
+		}
+		if granted.Load() == 0 || cancelled.Load() == 0 {
+			t.Logf("storm imbalance: granted=%d cancelled=%d (still valid, but jitter covered one side only)",
+				granted.Load(), cancelled.Load())
+		}
+	})
 }
 
 // TestParkSignalToWakeLatency is the regression test for the spin-mode
@@ -383,45 +361,6 @@ func TestParkSignalToWakeLatency(t *testing.T) {
 	}
 	if worst > time.Second {
 		t.Fatalf("worst signal-to-wake latency %v", worst)
-	}
-}
-
-// TestParkChanAblationMode exercises the legacy parker end to end — the
-// park-overhead gate's baseline must stay correct, not just slow: contended
-// grants, context cancellation, and the post-cancel accounting all behave
-// identically to the semaphore parker.
-func TestParkChanAblationMode(t *testing.T) {
-	p := New(parkTestSpec(t),
-		WithPlaceholders(),
-		WithSelfCheck(),
-		WithParking(ParkChan),
-		WithFastPath(FastPathConfig{}))
-
-	wtok, err := p.Write(bgCtx, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A cancelled waiter withdraws cleanly.
-	ctx, cancel := context.WithTimeout(bgCtx, 10*time.Millisecond)
-	if _, err := p.Write(ctx, 0, 1); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("cancelled legacy wait: err=%v, want DeadlineExceeded", err)
-	}
-	cancel()
-	// A parked waiter still gets its grant.
-	got := make(chan error, 1)
-	go func() {
-		tok, err := p.Read(bgCtx, 0)
-		if err == nil {
-			err = p.Release(tok)
-		}
-		got <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
-	if err := p.Release(wtok); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-got; err != nil {
-		t.Fatalf("legacy parked reader: %v", err)
 	}
 }
 

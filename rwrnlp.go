@@ -167,8 +167,7 @@ type (
 
 // New creates a Protocol for the given resource system. With no options the
 // protocol runs sharded (one RSM per declared resource component), blocking
-// waiters, no placeholders, no metrics; see the With… options and the
-// deprecated Options struct.
+// waiters, no placeholders, no metrics; see the With… options.
 func New(spec *Spec, opts ...Option) *Protocol {
 	cfg := defaultConfig()
 	for _, o := range opts {
@@ -297,14 +296,9 @@ func (p *Protocol) StallReports() []StallReport {
 	return out
 }
 
-// DebugHandler serves the metrics snapshot over HTTP (JSON; ?format=text
-// for a plain dump) — mount it on a debug mux in long-running services. It
-// serves an empty snapshot when metrics are disabled.
-func (p *Protocol) DebugHandler() http.Handler { return obs.Handler(p.metrics) }
-
 // DebugMux serves the full observability surface of this protocol instance:
 //
-//	/metrics                metrics snapshot (JSON; ?format=text|prom|openmetrics)
+//	/metrics                metrics snapshot (JSON; ?format=text|openmetrics)
 //	/debug/rnlp/flight      flight-recorder dump (JSON; ?format=perfetto)
 //	/debug/rnlp/watchdog    stall-watchdog firings and reports
 //	/debug/rnlp/timeseries  windowed rates/quantiles/bound utilization (?window=30s)
@@ -363,13 +357,12 @@ func (p *Protocol) nowNS() int64 {
 	return time.Now().UnixNano()
 }
 
-// finishAcquire records wall-clock acquisition metrics and mints the token.
-// start/blockStart are nowNS readings (0 when metrics are disabled or the
-// request never blocked). wgate marks a token whose Release must reopen its
-// shard's writer gate.
-func (p *Protocol) finishAcquire(s *shard, id core.ReqID, start, blockStart int64, isWrite, wgate bool, rest []tokenPart) Token {
+// finishAcquire records a granted token's wall-clock acquisition metrics and
+// stamps its satisfaction time. start/blockStart are nowNS readings
+// (0 when metrics are disabled or the request never blocked).
+func (p *Protocol) finishAcquire(tok *Token, start, blockStart int64, isWrite bool) {
 	if p.metrics == nil {
-		return Token{s: s, id: id, wgate: wgate, rest: rest}
+		return
 	}
 	now := time.Now().UnixNano()
 	if isWrite {
@@ -380,7 +373,7 @@ func (p *Protocol) finishAcquire(s *shard, id core.ReqID, start, blockStart int6
 	if blockStart != 0 {
 		p.wallBlock.Observe(now - blockStart)
 	}
-	return Token{s: s, id: id, acqNS: now, wgate: wgate, rest: rest}
+	tok.acqNS = now
 }
 
 // tokenPart is one additional component slice held by a slow-path Token.
@@ -591,32 +584,22 @@ func (p *Protocol) acquire(ctx context.Context, read, write []ResourceID) (Token
 	if err != nil {
 		return Token{}, err
 	}
-	tag := TagFromContext(ctx)
 	isWrite := len(write) > 0
+	fastMissed := false
 	if len(parts) == 1 {
 		s := parts[0].s
-		fastMissed := false
+		var tok Token
+		hit := false
 		if !isWrite && s.fastR {
-			if tok, ok := s.fastAcquire(read); ok {
-				if p.metrics != nil {
-					now := time.Now().UnixNano()
-					p.wallAcqR.Observe(now - start)
-					tok.acqNS = now
-				}
-				return tok, nil
-			}
-			fastMissed = true
+			tok, hit = s.fastAcquire(read)
+			fastMissed = !hit
+		} else if isWrite && s.fastW {
+			tok, hit = s.fastWriteAcquire(read, write)
+			fastMissed = !hit
 		}
-		if isWrite && s.fastW {
-			if tok, ok := s.fastWriteAcquire(read, write); ok {
-				if p.metrics != nil {
-					now := time.Now().UnixNano()
-					p.wallAcqW.Observe(now - start)
-					tok.acqNS = now
-				}
-				return tok, nil
-			}
-			fastMissed = true
+		if hit {
+			p.finishAcquire(&tok, start, 0, isWrite)
+			return tok, nil
 		}
 		if p.cfg.profLabels {
 			// A fast hit returned above already (its samples carry the outer
@@ -628,75 +611,46 @@ func (p *Protocol) acquire(ctx context.Context, read, write []ResourceID) (Token
 			pprof.SetGoroutineLabels(pprof.WithLabels(ctx,
 				pprof.Labels("rnlp_shard", strconv.Itoa(s.idx), "rnlp_path", path)))
 		}
-		wgate := isWrite && s.fastSlots != nil
-		if wgate {
-			s.writerEnter()
-		}
-		id, w, err := s.acquire(read, write, tag)
-		if err != nil {
-			if wgate {
-				s.writerExit()
+	} else if p.slowPath != nil {
+		p.slowPath.Inc()
+	}
+
+	// One request per component slice, in ascending component order (one
+	// slice for every declared footprint); on failure release what is held in
+	// reverse. tok accumulates the held slices: the first in the token itself,
+	// the rest in tok.rest.
+	tag := TagFromContext(ctx)
+	var tok Token
+	var blockStart int64
+	for i, pt := range parts {
+		r := request{s: pt.s, gate: len(pt.write) > 0, read: pt.read, write: pt.write, tag: tag}
+		if _, err := r.run(ctx, nil, nil, nil); err != nil {
+			if i > 0 {
+				_ = p.Release(tok)
 			}
 			return Token{}, err
 		}
-		var blockStart int64
-		if w != nil {
-			blockStart = p.nowNS()
-			if err := s.awaitAcquire(ctx, id, w); err != nil {
-				if wgate {
-					s.writerExit()
-				}
-				return Token{}, err
-			}
+		if blockStart == 0 {
+			blockStart = r.blockedAt
 		}
-		tok := p.finishAcquire(s, id, start, blockStart, isWrite, wgate, nil)
-		if fastMissed && p.attrRevokeNS != nil && start != 0 {
-			// Revocation penalty: the wall-clock cost this fast-eligible read
+		if i == 0 {
+			tok.s, tok.id, tok.wgate = pt.s, r.id, r.gate
+		} else {
+			tok.rest = append(tok.rest, tokenPart{s: pt.s, id: r.id, wgate: r.gate})
+		}
+	}
+	p.finishAcquire(&tok, start, blockStart, isWrite)
+	if start != 0 {
+		switch {
+		case len(parts) > 1 && p.attrSlowNS != nil:
+			// Cross-component slow path: piecewise acquisition time, outside any
+			// per-component Theorem 1/2 bound.
+			p.attrSlowNS.Observe(time.Now().UnixNano() - start)
+		case fastMissed && p.attrRevokeNS != nil:
+			// Revocation penalty: the wall-clock cost this fast-eligible request
 			// paid for being routed through the RSM.
 			p.attrRevokeNS.Observe(time.Now().UnixNano() - start)
 		}
-		return tok, nil
-	}
-
-	// Slow path: ascending component order; on failure release what is held
-	// in reverse.
-	if p.slowPath != nil {
-		p.slowPath.Inc()
-	}
-	var held []tokenPart
-	var blockStart int64
-	for _, pt := range parts {
-		wgate := len(pt.write) > 0 && pt.s.fastSlots != nil
-		if wgate {
-			pt.s.writerEnter()
-		}
-		id, w, err := pt.s.acquire(pt.read, pt.write, tag)
-		if err == nil && w != nil {
-			if blockStart == 0 {
-				blockStart = p.nowNS()
-			}
-			err = pt.s.awaitAcquire(ctx, id, w)
-		}
-		if err != nil {
-			if wgate {
-				pt.s.writerExit()
-			}
-			for i := len(held) - 1; i >= 0; i-- {
-				_ = held[i].s.release(held[i].id)
-				if held[i].wgate {
-					held[i].s.writerExit()
-				}
-			}
-			return Token{}, err
-		}
-		held = append(held, tokenPart{s: pt.s, id: id, wgate: wgate})
-	}
-	first := held[0]
-	tok := p.finishAcquire(first.s, first.id, start, blockStart, isWrite, first.wgate, held[1:])
-	if p.attrSlowNS != nil && start != 0 {
-		// Cross-component slow path: piecewise acquisition time, outside any
-		// per-component Theorem 1/2 bound.
-		p.attrSlowNS.Observe(time.Now().UnixNano() - start)
 	}
 	return tok, nil
 }
@@ -709,14 +663,6 @@ func (p *Protocol) Read(ctx context.Context, resources ...ResourceID) (Token, er
 // Write is shorthand for Acquire(ctx, nil, resources).
 func (p *Protocol) Write(ctx context.Context, resources ...ResourceID) (Token, error) {
 	return p.Acquire(ctx, nil, resources)
-}
-
-// AcquireContext is the v1 name for a cancelable acquisition.
-//
-// Deprecated: Acquire is context-first since v2; call it directly.
-// AcquireContext will be removed in v3; see the README's migration table.
-func (p *Protocol) AcquireContext(ctx context.Context, read, write []ResourceID) (Token, error) {
-	return p.Acquire(ctx, read, write)
 }
 
 // Release ends the critical section of a token, unlocking all its resources

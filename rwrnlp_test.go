@@ -10,7 +10,10 @@ import (
 
 var bg = context.Background()
 
-func newTestProtocol(t testing.TB, q int, opt Options, readGroups ...[]ResourceID) *Protocol {
+// opts spells an option list for newTestProtocol.
+func opts(o ...Option) []Option { return o }
+
+func newTestProtocol(t testing.TB, q int, opt []Option, readGroups ...[]ResourceID) *Protocol {
 	t.Helper()
 	b := NewSpecBuilder(q)
 	for _, g := range readGroups {
@@ -18,11 +21,11 @@ func newTestProtocol(t testing.TB, q int, opt Options, readGroups ...[]ResourceI
 			t.Fatal(err)
 		}
 	}
-	return New(b.Build(), opt)
+	return New(b.Build(), opt...)
 }
 
 func TestAcquireReleaseBasic(t *testing.T) {
-	p := newTestProtocol(t, 3, Options{}, []ResourceID{0, 1})
+	p := newTestProtocol(t, 3, nil, []ResourceID{0, 1})
 	tok, err := p.Read(bg, 0, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +48,7 @@ func TestAcquireReleaseBasic(t *testing.T) {
 // Writers on the same resources are mutually exclusive; readers share.
 // Exercises the full protocol under the race detector.
 func TestConcurrentMutualExclusion(t *testing.T) {
-	for _, opt := range []Options{{}, {Placeholders: true}, {Spin: true}, {Placeholders: true, Spin: true}} {
+	for _, opt := range [][]Option{nil, opts(WithPlaceholders()), opts(WithSpin()), opts(WithPlaceholders(), WithSpin())} {
 		opt := opt
 		p := newTestProtocol(t, 4, opt, []ResourceID{0, 1}, []ResourceID{2, 3})
 		data := make([]int64, 4)
@@ -101,7 +104,7 @@ func TestConcurrentMutualExclusion(t *testing.T) {
 
 // Two readers hold overlapping resources concurrently.
 func TestReaderSharing(t *testing.T) {
-	p := newTestProtocol(t, 2, Options{}, []ResourceID{0, 1})
+	p := newTestProtocol(t, 2, nil, []ResourceID{0, 1})
 	tok1, _ := p.Read(bg, 0, 1)
 	done := make(chan struct{})
 	go func() {
@@ -123,7 +126,7 @@ func TestReaderSharing(t *testing.T) {
 // A waiting writer blocks later readers (phase-fairness) and proceeds after
 // current readers drain.
 func TestPhaseFairness(t *testing.T) {
-	p := newTestProtocol(t, 1, Options{})
+	p := newTestProtocol(t, 1, nil)
 	r1, _ := p.Read(bg, 0)
 
 	wIn := make(chan struct{})
@@ -166,7 +169,7 @@ func TestPhaseFairness(t *testing.T) {
 // orders (the classic deadlock scenario for two-phase locking) always make
 // progress because acquisition is atomic.
 func TestNoDeadlockOppositeOrders(t *testing.T) {
-	p := newTestProtocol(t, 2, Options{})
+	p := newTestProtocol(t, 2, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -201,7 +204,7 @@ func TestNoDeadlockOppositeOrders(t *testing.T) {
 }
 
 func TestUpgradeableFlow(t *testing.T) {
-	p := newTestProtocol(t, 2, Options{}, []ResourceID{0, 1})
+	p := newTestProtocol(t, 2, nil, []ResourceID{0, 1})
 
 	// Uncontended: read phase, no upgrade needed.
 	u, err := p.AcquireUpgradeable(bg, 0, 1)
@@ -240,7 +243,7 @@ func TestUpgradeableFlow(t *testing.T) {
 
 // An upgrade must wait for concurrent readers of its resources, then win.
 func TestUpgradeWaitsForReaders(t *testing.T) {
-	p := newTestProtocol(t, 1, Options{})
+	p := newTestProtocol(t, 1, nil)
 	r, _ := p.Read(bg, 0)
 	u, err := p.AcquireUpgradeable(bg, 0)
 	if err != nil {
@@ -271,7 +274,7 @@ func TestUpgradeWaitsForReaders(t *testing.T) {
 }
 
 func TestIncrementalFlow(t *testing.T) {
-	p := newTestProtocol(t, 3, Options{}, []ResourceID{0, 1, 2})
+	p := newTestProtocol(t, 3, nil, []ResourceID{0, 1, 2})
 
 	// Uncontended: Rule W1 satisfies the request immediately, so the WHOLE
 	// potential set is held at once.
@@ -321,7 +324,7 @@ func TestIncrementalFlow(t *testing.T) {
 // Incremental requests under contention: a reader holds a resource the
 // incremental writer wants later; the grant arrives when the reader leaves.
 func TestIncrementalContended(t *testing.T) {
-	p := newTestProtocol(t, 2, Options{}, []ResourceID{0, 1})
+	p := newTestProtocol(t, 2, nil, []ResourceID{0, 1})
 	r, _ := p.Read(bg, 1)
 
 	inc, err := p.AcquireIncremental(bg, nil, []ResourceID{0, 1}, nil, []ResourceID{0})
@@ -355,7 +358,7 @@ func TestIncrementalContended(t *testing.T) {
 // Stress: all request forms mixed across goroutines under the race
 // detector, in all option combinations.
 func TestStressAllForms(t *testing.T) {
-	p := newTestProtocol(t, 4, Options{Placeholders: true}, []ResourceID{0, 1}, []ResourceID{2, 3})
+	p := newTestProtocol(t, 4, opts(WithPlaceholders()), []ResourceID{0, 1}, []ResourceID{2, 3})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -439,12 +442,12 @@ func TestStressAllForms(t *testing.T) {
 }
 
 func TestAcquireContextTimeout(t *testing.T) {
-	p := newTestProtocol(t, 1, Options{})
+	p := newTestProtocol(t, 1, nil)
 	hold, _ := p.Write(bg, 0)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	_, err := p.AcquireContext(ctx, nil, []ResourceID{0})
+	_, err := p.Acquire(ctx, nil, []ResourceID{0})
 	if err != context.DeadlineExceeded {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
@@ -453,7 +456,7 @@ func TestAcquireContextTimeout(t *testing.T) {
 	if err := p.Release(hold); err != nil {
 		t.Fatal(err)
 	}
-	tok, err := p.AcquireContext(context.Background(), nil, []ResourceID{0})
+	tok, err := p.Acquire(context.Background(), nil, []ResourceID{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,10 +464,10 @@ func TestAcquireContextTimeout(t *testing.T) {
 }
 
 func TestAcquireContextImmediate(t *testing.T) {
-	p := newTestProtocol(t, 1, Options{})
+	p := newTestProtocol(t, 1, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // pre-canceled context: immediate satisfaction still wins
-	tok, err := p.AcquireContext(ctx, []ResourceID{0}, nil)
+	tok, err := p.Acquire(ctx, []ResourceID{0}, nil)
 	if err != nil {
 		t.Fatalf("uncontended acquisition failed under canceled ctx: %v", err)
 	}
@@ -472,7 +475,7 @@ func TestAcquireContextImmediate(t *testing.T) {
 }
 
 func TestAcquireContextCancelUnblocksOthers(t *testing.T) {
-	p := newTestProtocol(t, 1, Options{})
+	p := newTestProtocol(t, 1, nil)
 	r1, _ := p.Read(bg, 0)
 
 	// A writer queues (entitled), then gets canceled; a reader queued
@@ -480,7 +483,7 @@ func TestAcquireContextCancelUnblocksOthers(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	wErr := make(chan error, 1)
 	go func() {
-		_, err := p.AcquireContext(ctx, nil, []ResourceID{0})
+		_, err := p.Acquire(ctx, nil, []ResourceID{0})
 		wErr <- err
 	}()
 	time.Sleep(50 * time.Millisecond) // writer is entitled now
@@ -513,7 +516,7 @@ func TestAcquireContextCancelUnblocksOthers(t *testing.T) {
 }
 
 func TestAcquireContextStress(t *testing.T) {
-	p := newTestProtocol(t, 2, Options{Placeholders: true})
+	p := newTestProtocol(t, 2, opts(WithPlaceholders()))
 	var wg sync.WaitGroup
 	var acquired, timedOut atomic.Int64
 	for g := 0; g < 8; g++ {
@@ -523,7 +526,7 @@ func TestAcquireContextStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				ctx, cancel := context.WithTimeout(context.Background(), time.Duration(i%3)*time.Millisecond)
-				tok, err := p.AcquireContext(ctx, nil, []ResourceID{ResourceID(g % 2), ResourceID((g + 1) % 2)})
+				tok, err := p.Acquire(ctx, nil, []ResourceID{ResourceID(g % 2), ResourceID((g + 1) % 2)})
 				if err == nil {
 					acquired.Add(1)
 					p.Release(tok)
@@ -548,7 +551,7 @@ func TestAcquireContextStress(t *testing.T) {
 
 // SelfCheck mode audits every invocation; a healthy run never panics.
 func TestSelfCheckMode(t *testing.T) {
-	p := newTestProtocol(t, 3, Options{SelfCheck: true, Placeholders: true}, []ResourceID{0, 1})
+	p := newTestProtocol(t, 3, opts(WithSelfCheck(), WithPlaceholders()), []ResourceID{0, 1})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		g := g
@@ -608,10 +611,10 @@ func TestRuntimeSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short mode")
 	}
-	for _, opt := range []Options{
-		{SelfCheck: true},
-		{Placeholders: true, SelfCheck: true},
-		{Placeholders: true, Spin: true, SelfCheck: true},
+	for _, opt := range [][]Option{
+		opts(WithSelfCheck()),
+		opts(WithPlaceholders(), WithSelfCheck()),
+		opts(WithPlaceholders(), WithSpin(), WithSelfCheck()),
 	} {
 		opt := opt
 		b := NewSpecBuilder(6)
@@ -621,7 +624,7 @@ func TestRuntimeSoak(t *testing.T) {
 		if err := b.DeclareRequest([]ResourceID{3, 4}, []ResourceID{5}); err != nil {
 			t.Fatal(err)
 		}
-		p := New(b.Build(), opt)
+		p := New(b.Build(), opt...)
 
 		var wg sync.WaitGroup
 		for g := 0; g < 10; g++ {
@@ -690,7 +693,7 @@ func TestRuntimeSoak(t *testing.T) {
 						inc.Release()
 					case 5:
 						ctx, cancel := context.WithTimeout(context.Background(), time.Duration(i%2)*time.Millisecond)
-						tok, err := p.AcquireContext(ctx, nil, []ResourceID{r0})
+						tok, err := p.Acquire(ctx, nil, []ResourceID{r0})
 						if err == nil {
 							p.Release(tok)
 						}

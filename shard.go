@@ -42,10 +42,6 @@ type shard struct {
 	idx int
 	n   int // shard count (for globally unique fast-path event IDs)
 
-	// parkChan selects the legacy chan-close waiter (see park.go); the
-	// default is the futex-style semaphore parker.
-	parkChan bool
-
 	mu      sync.Mutex
 	rsm     *core.RSM
 	clock   core.Time
@@ -61,25 +57,18 @@ type shard struct {
 	// admission attempts. fastWriters is the writer gate: the number of
 	// write-capable requests anywhere between writerEnter and writerExit
 	// (fast writers hold it for their whole critical section); readers are
-	// admitted to the slots only while it is zero. fastRevoked latches after
-	// a drain exceeds its miss-streak budget and clears once fastGrace
-	// fast-eligible reads observe the component writer-free again. fastSurr
-	// maps a fast claim sequence to its migrated surrogate RSM request
-	// (guarded by mu); a fast read that is never migrated reaches neither
-	// the RSM nor the event stream (see fastpath.go).
-	fastR          bool
-	fastW          bool
-	fastPerP       bool
-	revokeMisses   int64
-	graceReads     int64
-	fastSlots      []fastSlot
-	fastMask       int
-	fastWriters    atomic.Int64
-	fastRevoked    atomic.Bool
-	fastGrace      atomic.Int64
-	fastMissStreak atomic.Int64
-	fastSeq        atomic.Uint64
-	fastSurr       map[uint64]core.ReqID
+	// admitted to the slots only while it is zero. fastRHyst is the plane's
+	// revocation hysteresis. fastSurr maps a fast claim sequence to its
+	// migrated surrogate RSM request (guarded by mu); a fast read that is
+	// never migrated reaches neither the RSM nor the event stream (see
+	// fastpath.go).
+	fastR       bool
+	fastW       bool
+	fastSlots   []fastSlot
+	fastMask    int
+	fastWriters atomic.Int64
+	fastRHyst   hysteresis
+	fastSurr    map[uint64]core.ReqID
 
 	// Writer fast path (see fastpath.go). fastWWord holds the current
 	// claim's sequence (0 = free); fastWRead/fastWWrite its published
@@ -89,19 +78,17 @@ type shard struct {
 	// without the mutex. fastWSurr maps a writer claim sequence to its
 	// migrated surrogate (guarded by mu); fastWMig is the handshake word of
 	// the exactly-once retirement, written only under mu.
-	fastWWord       atomic.Uint64
-	fastWRead       [fastSlotWords]atomic.Uint64
-	fastWWrite      [fastSlotWords]atomic.Uint64
-	fastWSeq        atomic.Uint64
-	fastWMig        atomic.Uint64
-	fastWSurr       map[uint64]core.ReqID
-	fastWRevoked    atomic.Bool
-	fastWGrace      atomic.Int64
-	fastWMissStreak atomic.Int64
-	fastWOps        atomic.Int64 // attempts since the last re-enable (storm detection)
-	fastWReenabled  atomic.Bool  // the plane has been revoked and re-enabled before
-	rsmLive         atomic.Int64
-	rsmIntent       atomic.Int64
+	fastWWord      atomic.Uint64
+	fastWRead      [fastSlotWords]atomic.Uint64
+	fastWWrite     [fastSlotWords]atomic.Uint64
+	fastWSeq       atomic.Uint64
+	fastWMig       atomic.Uint64
+	fastWSurr      map[uint64]core.ReqID
+	fastWHyst      hysteresis
+	fastWOps       atomic.Int64 // attempts since the last re-enable (storm detection)
+	fastWReenabled atomic.Bool  // the plane has been revoked and re-enabled before
+	rsmLive        atomic.Int64
+	rsmIntent      atomic.Int64
 
 	// Observability (nil unless metrics): the ProtocolObserver instance is
 	// per shard (its pending map sees only this shard's strided IDs) but
@@ -128,7 +115,6 @@ type shard struct {
 
 func newShard(p *Protocol, idx, n int) *shard {
 	s := &shard{p: p, idx: idx, n: n, waiters: make(map[core.ReqID]*waiter)}
-	s.parkChan = !p.cfg.park.sema()
 	s.rsm = core.NewRSM(p.spec, core.Options{
 		Placeholders: p.cfg.placeholders,
 		FirstID:      core.ReqID(idx),
@@ -137,9 +123,6 @@ func newShard(p *Protocol, idx, n int) *shard {
 	if fc := p.cfg.fast; fc.enabled() {
 		s.fastR = fc.Readers
 		s.fastW = fc.Writers
-		s.fastPerP = fc.perP()
-		s.revokeMisses = fc.revokeMisses()
-		s.graceReads = fc.graceReads()
 		s.initFastPath()
 	}
 	if p.metrics != nil {
@@ -230,7 +213,7 @@ func (s *shard) selfCheck() {
 func (s *shard) drainOps() {
 	for op := s.ops.Swap(nil); op != nil; {
 		next := op.next
-		s.runOp(op)
+		s.runOp(op, nil, nil)
 		op = next
 	}
 }
@@ -279,40 +262,51 @@ func (s *shard) unlock() {
 	}
 }
 
-// runOp issues one published acquisition. Caller holds s.mu. rsmLive is
-// mirrored before done is published: the publisher's slowExit must not run
-// while its issuance is still invisible to the writer fast path.
-func (s *shard) runOp(op *issueOp) {
-	op.id, op.err = s.rsm.Issue(s.tick(), op.read, op.write, op.tag)
-	if op.err == nil {
-		if st, _ := s.rsm.State(op.id); st != core.StateSatisfied {
-			op.w = s.newWaiter()
-			s.waiters[op.id] = op.w
-		}
+// runOp issues one request and, unless it is already granted, registers the
+// waiter its grant will be signaled on — the one place waiters are minted.
+// issue and granted are a request's (see request.run); nil selects a plain
+// acquisition of op's footprint, which is all a published op can be. Caller
+// holds s.mu. rsmLive is mirrored before done is published: the issuer's
+// slowExit must not run while its issuance is still invisible to the writer
+// fast path.
+func (s *shard) runOp(op *issueOp, issue func() (core.ReqID, error), granted func(core.ReqID) bool) {
+	if issue != nil {
+		op.id, op.err = issue()
+	} else {
+		op.id, op.err = s.rsm.Issue(s.tick(), op.read, op.write, op.tag)
+	}
+	if op.err == nil && !s.holds(op.id, granted) {
+		op.w = newWaiter()
+		s.waiters[op.id] = op.w
 	}
 	s.syncLive()
 	s.selfCheck()
 	op.done.Store(true)
 }
 
-// acquire issues one request on this shard, returning the request ID and a
-// waiter to park on (nil when satisfied synchronously). An uncontended
+// holds evaluates a request's granted predicate; nil asks whether the whole
+// request is satisfied. Caller holds s.mu.
+func (s *shard) holds(id core.ReqID, granted func(core.ReqID) bool) bool {
+	if granted != nil {
+		return granted(id)
+	}
+	st, err := s.rsm.State(id)
+	return err == nil && st == core.StateSatisfied
+}
+
+// combine issues one plain request on this shard, returning the request ID
+// and a waiter to park on (nil when satisfied synchronously). An uncontended
 // caller takes the mutex directly; a contended one publishes an op for the
 // current holder to combine, falling back to the mutex if no holder picks it
 // up in time (the fallback drains the stack itself, so an op is always
 // executed after at most one lock acquisition).
-func (s *shard) acquire(read, write []ResourceID, tag any) (core.ReqID, *waiter, error) {
+func (s *shard) combine(read, write []ResourceID, tag any) (core.ReqID, *waiter, error) {
 	if s.acquires != nil {
 		s.acquires.Inc()
 	}
-	// Announce the issuance to the writer fast path (and migrate a fast
-	// writer holding the word) before touching the mutex; the intent stays
-	// up until the issued request is mirrored in rsmLive.
-	s.slowEnter()
-	defer s.slowExit()
 	if s.mu.TryLock() {
 		op := issueOp{read: read, write: write, tag: tag}
-		s.runOp(&op)
+		s.runOp(&op, nil, nil)
 		s.unlock()
 		return op.id, op.w, op.err
 	}
@@ -372,72 +366,123 @@ func (s *shard) release(id core.ReqID) error {
 	return err
 }
 
-// awaitCtx parks on w until it is signaled or ctx is done. A nil or
+// request is the lifecycle of one blocking RSM request (or incremental ask)
+// — the sequence every blocking entry point shares:
+//
+//	close the writer gate (write-capable requests only) → announce the
+//	issuance (slowEnter) → issue under s.mu, mirror rsmLive, register a
+//	waiter unless already granted (runOp) → retract the announcement
+//	(slowExit) → park until signaled or ctx is done (await) → on failure
+//	reopen the gate.
+//
+// On success a gate the request closed stays closed: the holder's release
+// path reopens it once the request's RSM locks are gone. A request lives on
+// its caller's stack; what differs between the request forms is passed to
+// run as funcs, which run only calls (kept out of the struct so that they
+// stay on the caller's stack too).
+type request struct {
+	s    *shard
+	gate bool // write-capable: holds the writer gate from before its issuance
+
+	// A plain request's footprint and tag, issued by flat combining; unused
+	// when run is given an issue func.
+	read, write []ResourceID
+	tag         any
+
+	id        core.ReqID // the wake key, set by run
+	blockedAt int64      // Protocol.nowNS when the request parked; 0 if it never did
+}
+
+// run drives r to its grant. All three funcs run under s.mu:
+//
+//   - issue enters the request (or ask) into the RSM and returns the ID its
+//     grant is signaled on; nil issues r's plain footprint;
+//   - granted reports whether what the caller waits for is held; nil asks
+//     whether the whole request is satisfied;
+//   - withdraw removes the pending request (or ask) from the RSM when ctx
+//     cancellation wins; nil cancels the whole request.
+//
+// parked reports whether the request had to wait; an error with parked false
+// came from the issuance itself.
+func (r *request) run(ctx context.Context, issue func() (core.ReqID, error), granted func(core.ReqID) bool, withdraw func(core.ReqID) error) (parked bool, err error) {
+	s := r.s
+	if r.gate {
+		s.writerEnter()
+	}
+	// Announce the issuance to the writer fast path (and migrate a fast
+	// writer holding the word) before touching the mutex; the intent stays
+	// up until the issued request is mirrored in rsmLive, which runOp does
+	// before it reports the op done.
+	s.slowEnter()
+	var w *waiter
+	if issue == nil {
+		r.id, w, err = s.combine(r.read, r.write, r.tag)
+	} else {
+		var op issueOp
+		s.mu.Lock()
+		s.runOp(&op, issue, granted)
+		s.unlock()
+		r.id, w, err = op.id, op.w, op.err
+	}
+	s.slowExit()
+	if err == nil && w != nil {
+		parked = true
+		r.blockedAt = s.p.nowNS()
+		err = r.await(ctx, w, granted, withdraw)
+	}
+	if err != nil && r.gate {
+		s.writerExit()
+	}
+	return parked, err
+}
+
+// await parks on w until it is signaled or ctx is done. A nil or
 // non-cancelable ctx parks unconditionally. On cancellation the
 // signal-vs-cancel race settles on the waiter's state word: if the cancel
 // CAS loses, the wakeup token is in flight — consume it and own the grant;
 // if it wins, no signal will ever be delivered (a late one is dropped as
-// spurious) and the request's true state is resolved under s.mu — won
-// (optional) reports satisfaction whose batched signal had not landed
-// before the CAS, and otherwise the withdraw callback removes the request,
-// returning ctx.Err().
-func (s *shard) awaitCtx(ctx context.Context, w *waiter, won func() bool, withdraw func() error) error {
+// spurious) and the request's true state is resolved under s.mu — granted
+// reports satisfaction whose batched signal had not landed before the CAS,
+// and otherwise the request (or ask) is withdrawn, returning ctx.Err().
+func (r *request) await(ctx context.Context, w *waiter, granted func(core.ReqID) bool, withdraw func(core.ReqID) error) error {
+	s := r.s
 	if ctx == nil || ctx.Done() == nil {
 		w.wait(s.p.cfg.spin)
 		w.recycle()
 		return nil
 	}
-	if w.legacy {
-		select {
-		case <-w.sema:
-			return nil
-		case <-ctx.Done():
-		}
-	} else {
-		if !w.park(false) {
-			w.recycle() // direct delivery: the signaler's CAS was its last touch
-			return nil
-		}
-		select {
-		case <-w.sema:
+	if !w.park(false) {
+		w.recycle() // direct delivery: the signaler's CAS was its last touch
+		return nil
+	}
+	select {
+	case <-w.sema:
+		w.recycle()
+		return nil
+	case <-ctx.Done():
+		if !w.cancel() {
+			// The signal's CAS landed first: its token is in flight.
+			<-w.sema
 			w.recycle()
 			return nil
-		case <-ctx.Done():
-			if !w.cancel() {
-				// The signal's CAS landed first: its token is in flight.
-				<-w.sema
-				w.recycle()
-				return nil
-			}
 		}
 	}
 	s.mu.Lock()
-	if w.signaled() || (won != nil && won()) {
+	delete(s.waiters, r.id)
+	if s.holds(r.id, granted) {
 		s.unlock()
 		return nil
 	}
-	err := withdraw()
+	var err error
+	if withdraw != nil {
+		err = withdraw(r.id)
+	} else {
+		err = s.rsm.CancelRequest(s.tick(), r.id)
+	}
 	s.selfCheck()
 	s.unlock()
 	if err != nil {
 		return err
 	}
 	return ctx.Err()
-}
-
-// awaitAcquire is awaitCtx for a plain pending acquisition: cancellation
-// withdraws the whole request.
-func (s *shard) awaitAcquire(ctx context.Context, id core.ReqID, w *waiter) error {
-	return s.awaitCtx(ctx, w,
-		func() bool {
-			if st, err := s.rsm.State(id); err == nil && st == core.StateSatisfied {
-				delete(s.waiters, id)
-				return true
-			}
-			return false
-		},
-		func() error {
-			delete(s.waiters, id)
-			return s.rsm.CancelRequest(s.tick(), id)
-		})
 }

@@ -68,61 +68,37 @@ func (p *Protocol) AcquireUpgradeable(ctx context.Context, resources ...Resource
 		return nil, fmt.Errorf("%w: upgradeable footprint covers %d components", ErrCrossComponent, len(parts))
 	}
 	s := parts[0].s
+	var h core.UpgradeHandle
+	var phase core.UpgradePhase
+	// Either half satisfied ends the wait: the read half's grant signals the
+	// waiter directly, and the write half's satisfaction cancels the read
+	// half, which signals it too.
+	granted := func(core.ReqID) bool {
+		phase = s.rsm.UpgradePhase(h)
+		return phase == core.UpgradeReading || phase == core.UpgradeWriting
+	}
 	// The pair's write half is write-capable from issuance on (it may win
 	// the race immediately), so the writer gate closes for the pair's whole
 	// lifetime.
-	gate := s.fastSlots != nil
-	if gate {
-		s.writerEnter()
-	}
-	// Announce the issuance to the writer fast path (and migrate a fast
-	// writer holding the word) before taking the mutex; the intent can drop
-	// right after unlock, which mirrored the issued pair into rsmLive.
-	s.slowEnter()
-	s.mu.Lock()
-	h, err := s.rsm.IssueUpgradeable(s.tick(), resources, nil)
+	r := request{s: s, gate: true}
+	parked, err := r.run(ctx,
+		func() (core.ReqID, error) {
+			var err error
+			h, err = s.rsm.IssueUpgradeable(s.tick(), resources, nil)
+			return h.ReadID, err
+		},
+		granted,
+		func(core.ReqID) error { return s.rsm.CancelUpgradeable(s.tick(), h) })
 	if err != nil {
-		s.unlock()
-		s.slowExit()
-		if gate {
-			s.writerExit()
-		}
 		return nil, err
 	}
-	// The pair is in the RSM: mirror it into rsmLive now so the issuance
-	// intent can drop before the mutex does.
-	s.syncLive()
-	s.slowExit()
-	u := &Upgradeable{s: s, h: h, gate: gate}
-	for {
-		switch s.rsm.UpgradePhase(h) {
-		case core.UpgradeReading:
-			u.reading = true
-			s.unlock()
-			return u, nil
-		case core.UpgradeWriting:
-			s.unlock()
-			return u, nil
-		}
-		// Neither half satisfied yet: wait for the read half (the write
-		// half's satisfaction cancels it, which also signals the waiter).
-		w := s.newWaiter()
-		s.waiters[h.ReadID] = w
-		s.unlock()
-		if err := s.awaitCtx(ctx, w,
-			func() bool {
-				ph := s.rsm.UpgradePhase(h)
-				return ph == core.UpgradeReading || ph == core.UpgradeWriting
-			},
-			func() error {
-				delete(s.waiters, h.ReadID)
-				return s.rsm.CancelUpgradeable(s.tick(), h)
-			}); err != nil {
-			u.exitGate()
-			return nil, err
-		}
+	if parked {
+		// phase predates the wait: read which half was satisfied.
 		s.mu.Lock()
+		granted(h.ReadID)
+		s.unlock()
 	}
+	return &Upgradeable{s: s, h: h, reading: phase == core.UpgradeReading, gate: true}, nil
 }
 
 // Reading reports whether the request is in its optimistic read phase.
@@ -136,38 +112,18 @@ func (u *Upgradeable) Reading() bool { return u.reading }
 // that point, so the pair is over and Release reports ErrAlreadyReleased.
 func (u *Upgradeable) Upgrade(ctx context.Context) error {
 	s := u.s
-	s.mu.Lock()
-	if !u.reading {
-		s.unlock()
-		return ErrNotReading
-	}
-	u.reading = false
-	if err := s.rsm.FinishRead(s.tick(), u.h, true); err != nil {
-		s.unlock()
-		return err
-	}
-	if s.rsm.UpgradePhase(u.h) == core.UpgradeWriting {
-		s.selfCheck()
-		s.unlock()
-		return nil
-	}
-	w := s.newWaiter()
-	s.waiters[u.h.WriteID] = w
-	s.selfCheck()
-	s.unlock()
-	err := s.awaitCtx(ctx, w,
-		func() bool {
-			if s.rsm.UpgradePhase(u.h) == core.UpgradeWriting {
-				delete(s.waiters, u.h.WriteID)
-				return true
+	r := request{s: s}
+	parked, err := r.run(ctx,
+		func() (core.ReqID, error) {
+			if !u.reading {
+				return 0, ErrNotReading
 			}
-			return false
+			u.reading = false
+			return u.h.WriteID, s.rsm.FinishRead(s.tick(), u.h, true)
 		},
-		func() error {
-			delete(s.waiters, u.h.WriteID)
-			return s.rsm.CancelUpgradeable(s.tick(), u.h)
-		})
-	if err != nil {
+		func(core.ReqID) bool { return s.rsm.UpgradePhase(u.h) == core.UpgradeWriting },
+		func(core.ReqID) error { return s.rsm.CancelUpgradeable(s.tick(), u.h) })
+	if err != nil && parked {
 		// The pair is over: the read locks were released by FinishRead and
 		// the write half has been withdrawn.
 		u.exitGate()

@@ -289,31 +289,6 @@ func TestWithoutSharding(t *testing.T) {
 	}
 }
 
-// The deprecated struct-options form still compiles and works alongside the
-// functional options it now implements.
-func TestLegacyOptionsStruct(t *testing.T) {
-	p := rwrnlp.New(componentSpec(t, 2), rwrnlp.Options{Placeholders: true, SelfCheck: true})
-	tok, err := p.Write(bgv2, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Release(tok); err != nil {
-		t.Fatal(err)
-	}
-	// Mixing legacy and functional options applies both.
-	p2 := rwrnlp.New(componentSpec(t, 2), rwrnlp.Options{Placeholders: true}, rwrnlp.WithMetrics())
-	if p2.Metrics() == nil {
-		t.Fatal("WithMetrics ignored when mixed with legacy Options")
-	}
-	tok, err = p2.Write(bgv2, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p2.Release(tok); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestComponentAccessors(t *testing.T) {
 	spec := componentSpec(t, 3)
 	for r := 0; r < 6; r++ {
