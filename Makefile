@@ -37,9 +37,12 @@ park-race:
 	$(GO) test -race -count=1 -run 'TestWaiterStateMachine|TestParkWakeupAccounting|TestParkSignalCancelStorm|TestParkSignalToWakeLatency|TestRequestLifecycleBalance' .
 
 # Observability plane under the race detector, explicitly and un-shortened:
-# attribution, flight recorder, watchdog, OpenMetrics exposition, and the
-# root-package regression tests that drive the sharded lock with the fast
-# path on while scraping the debug endpoints.
+# the pipeline's parent-commit lifecycle goldens (TestLifecycleGolden) and the
+# all-sinks vs single-sink equivalence property
+# (TestPipelineSharedTableEquivalence, all 24 seeded streams), attribution,
+# flight recorder, watchdog, OpenMetrics exposition, and the root-package
+# regression tests that drive the sharded lock with the fast path on while
+# scraping the debug endpoints.
 obs-race:
 	$(GO) test -race -count=1 ./internal/obs
 	$(GO) test -race -count=1 -run 'TestShardedFastPathObservabilityConsistency|TestDebugEndpointsConcurrentWithWorkload|TestFastPathHitInvisibleToObservabilityPlane' .
@@ -53,11 +56,12 @@ telemetry-race:
 	$(GO) test -race -count=1 ./cmd/rnlptop
 
 # Same-run ablation pair gates: every overhead or speed-up bound CI enforces
-# (flight recorder, metrics plane, writer fast path, trace tags, network
-# tier, rnlpd observability) is one row of the table in cmd/benchjson/gates.go
-# — benchmarks, threshold and rationale — and all rows run under one sampling
-# protocol (five interleaved invocations, min-merged; see the note atop
-# cmd/benchjson/main.go). A failing row leaves <name>_pair.json behind.
+# (flight recorder, metrics plane, the whole observability pipeline, writer
+# fast path, trace tags, network tier, rnlpd observability) is one row of the
+# table in cmd/benchjson/gates.go — benchmarks, threshold and rationale — and
+# all rows run under one sampling protocol (five interleaved invocations,
+# min-merged; see the note atop cmd/benchjson/main.go). A failing row leaves
+# <name>_pair.json behind.
 pair-gates:
 	$(GO) run ./cmd/benchjson gates
 

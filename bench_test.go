@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/rtsync/rwrnlp"
 	"github.com/rtsync/rwrnlp/internal/analysis"
@@ -714,7 +715,7 @@ func BenchmarkFastPathReadMostly(b *testing.B) {
 // off variant is the PR 4 baseline (reader plane only; every write traverses
 // the RSM). The acceptance bar — fast writes at least 60% faster than the
 // slow path, i.e. within single-digit multiples of the BRAVO read — is
-// checked by `make wfast-overhead` via `benchjson pair`.
+// checked by the `wfast` row of `make pair-gates` (cmd/benchjson/gates.go).
 func BenchmarkUncontendedWriter(b *testing.B) {
 	for _, mode := range []string{"off", "on"} {
 		mode := mode
@@ -843,8 +844,8 @@ func BenchmarkContendedAcquire(b *testing.B) {
 // BenchmarkAcquire prices the flight recorder on the slow (RSM) acquisition
 // path: write round trips with the recorder off (one nil pointer test per
 // protocol event) vs on (one lock-free ring record per event). The off
-// variant is the PR 4 baseline; the acceptance bar is that flight=off stays
-// within 2% of it, checked by `benchjson pair` in CI. Both fast-path planes
+// variant is the PR 4 baseline; the pair is bounded by the `flight` row of
+// `make pair-gates` (cmd/benchjson/gates.go). Both fast-path planes
 // are disabled so every acquisition actually traverses the RSM — an
 // uncontended write would otherwise take the writer fast path and hide the
 // instrumentation entirely.
@@ -880,19 +881,30 @@ func BenchmarkAcquire(b *testing.B) {
 	// same write round trip: every protocol event feeds the sharded counters
 	// and the per-event histogram records (sum + bucket + min/max + exemplar
 	// slot). The off variant is the same shape with a nil registry; the pair
-	// is compared same-run by `make hdr-overhead`, so machine drift cancels.
-	for _, mode := range []string{"off", "on"} {
+	// is compared same-run by the `hdr` row of `make pair-gates`, so machine
+	// drift cancels.
+	//
+	// obs=all is the same round trip under rnlpd's default option set — the
+	// whole observability pipeline: flight recorder, metrics, time series and
+	// attribution behind one request table per shard. The `obs-all` row bounds
+	// it against hdr=off, so what the pipeline costs is bounded in one place.
+	for _, mode := range []string{"hdr=off", "hdr=on", "obs=all"} {
 		mode := mode
-		b.Run("hdr="+mode, func(b *testing.B) {
+		b.Run(mode, func(b *testing.B) {
 			spec := rwrnlp.NewSpecBuilder(4)
 			if err := spec.DeclareRequest([]rwrnlp.ResourceID{0, 1}, nil); err != nil {
 				b.Fatal(err)
 			}
 			opts := []rwrnlp.Option{rwrnlp.WithFastPath(rwrnlp.FastPathConfig{})}
-			if mode == "on" {
+			switch mode {
+			case "hdr=on":
 				opts = append(opts, rwrnlp.WithMetrics())
+			case "obs=all":
+				opts = append(opts, rwrnlp.WithMetrics(), rwrnlp.WithFlightRecorder(4096),
+					rwrnlp.WithTimeSeries(time.Second, 0), rwrnlp.WithAttribution(10))
 			}
 			p := rwrnlp.New(spec.Build(), opts...)
+			defer p.Close()
 			var shared [2]int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -920,7 +932,7 @@ func BenchmarkAcquire(b *testing.B) {
 // their fields exist either way. Metrics and the flight recorder run on both
 // sides so the pair isolates exactly the tagging delta; both fast-path planes
 // are disabled so every acquisition traverses the RSM (a fast-path hit is
-// never tagged). `make trace-overhead` gates the pair in CI.
+// never tagged). The `trace` row of `make pair-gates` bounds the pair in CI.
 func BenchmarkTracedAcquire(b *testing.B) {
 	for _, mode := range []string{"off", "on"} {
 		mode := mode

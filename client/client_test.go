@@ -252,16 +252,20 @@ func TestWrongNodeReroute(t *testing.T) {
 	a.name, b.name = a.srv.URL, b.srv.URL
 	spec.Nodes = []string{a.srv.URL, b.srv.URL}
 
-	a.acquire = func(req AcquireRequest, w http.ResponseWriter) {
-		writeTestErr(w, http.StatusMisdirectedRequest, ErrorBody{
-			Code: CodeWrongNode, Error: "component moved", Owner: b.srv.URL,
-		})
-	}
-
 	ctx := context.Background()
 	c, err := New(ctx, []string{a.srv.URL, b.srv.URL})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Placement hashes the nodes' ephemeral URLs, so which node owns what
+	// varies by run: call A whichever one component 0 routes to.
+	if c.owner(0) == b.srv.URL {
+		a, b = b, a
+	}
+	a.acquire = func(req AcquireRequest, w http.ResponseWriter) {
+		writeTestErr(w, http.StatusMisdirectedRequest, ErrorBody{
+			Code: CodeWrongNode, Error: "component moved", Owner: b.srv.URL,
+		})
 	}
 	sess, err := c.OpenSession(ctx, WithoutKeepAlive())
 	if err != nil {
@@ -279,7 +283,7 @@ func TestWrongNodeReroute(t *testing.T) {
 	}
 	snap := c.MetricsSnapshot()
 	if a.acquires.Load() == 0 {
-		t.Skip("placement routed nothing to node A; nothing to re-route")
+		t.Fatal("nothing was routed to the rejecting node")
 	}
 	if got := snap.Counters[MClientReroutes]; got != a.acquires.Load() {
 		t.Fatalf("client_reroutes = %d, want %d (one per wrong_node rejection)", got, a.acquires.Load())

@@ -25,8 +25,10 @@ type gate struct {
 var gates = []gate{
 	{"flight", ".", "BenchmarkAcquire/flight", "BenchmarkAcquire/flight=off", "BenchmarkAcquire/flight=on", 100,
 		"flight recorder: a handful of ring stores per event on the RSM write round trip; off is a nil check"},
-	{"hdr", ".", "BenchmarkAcquire/hdr", "BenchmarkAcquire/hdr=off", "BenchmarkAcquire/hdr=on", 150,
+	{"hdr", ".", "BenchmarkAcquire/(hdr|obs)", "BenchmarkAcquire/hdr=off", "BenchmarkAcquire/hdr=on", 150,
 		"the whole metrics plane (HDR histograms + sharded counters on every event), hence wider than flight"},
+	{"obs-all", ".", "BenchmarkAcquire/(hdr|obs)", "BenchmarkAcquire/hdr=off", "BenchmarkAcquire/obs=all", 230,
+		"the whole pipeline under rnlpd's default options (flight + metrics + time series + attribution over one request table): +78% and +128% min-merged in two samplings, +170% in single runs, when it landed; a second per-request table or per-event lock shows here"},
 	{"wfast", ".", "BenchmarkUncontendedWriter/wfast", "BenchmarkUncontendedWriter/wfast=off", "BenchmarkUncontendedWriter/wfast=on", -60,
 		"writer fast path: the single-CAS claim must stay >= 60% faster than the ~1.3 us RSM slow path"},
 	{"trace", ".", "BenchmarkTracedAcquire/trace", "BenchmarkTracedAcquire/trace=off", "BenchmarkTracedAcquire/trace=on", 15,

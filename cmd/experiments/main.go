@@ -38,11 +38,13 @@ var (
 	httpAddr = flag.String("http", "", "serve the aggregated metrics debug endpoint after the experiments")
 )
 
-// Suite-wide observability state: one metrics registry shared by every run
-// (when -metrics is set) and the aggregated verdict of the per-run Theorem
-// 1/2 bound monitors that run() attaches unconditionally.
+// Suite-wide observability state: one metrics registry and the sink feeding
+// it, shared by every run (when -metrics is set), and the aggregated verdict
+// of the per-run Theorem 1/2 bound monitors that run() attaches
+// unconditionally.
 var (
 	reg         *obs.Metrics
+	regObs      *obs.ProtocolObserver
 	boundRuns   int
 	boundChecks int64
 	boundSkips  int64
@@ -53,6 +55,7 @@ func main() {
 	flag.Parse()
 	if *metricsF {
 		reg = obs.NewMetrics()
+		regObs = obs.NewProtocolObserver(reg)
 	}
 	cmd := "all"
 	if flag.NArg() > 0 {
@@ -110,23 +113,21 @@ func finish() {
 	}
 }
 
-// run executes one configuration with the suite's observers attached: the
-// shared metrics registry (if -metrics) and — for RW-RNLP under a progress
+// run executes one configuration with the suite's pipeline attached: the
+// shared metrics sink (if -metrics) and — for RW-RNLP under a progress
 // mechanism that establishes P1/P2 — an analytic Theorem 1/2 bound monitor
 // using the system's overhead-inflated L^r/L^w. The E17 negative control
 // (inheritance, bounds intentionally broken) bypasses run and calls sim.New
 // directly.
 func run(cfg sim.Config) *sim.Result {
-	var bm *obs.BoundMonitor
+	sinks := obs.Sinks{Metrics: regObs}
 	if cfg.Protocol == sim.ProtoRWRNLP && cfg.Progress != sim.Inheritance {
-		bm = obs.NewBoundMonitor(cfg.System.M)
+		sinks.Bounds = obs.NewBoundMonitor(cfg.System.M)
 		ib := analysis.BoundsOf(cfg.System).Inflate(cfg.Overheads.Invocation, cfg.Overheads.CtxSwitch)
-		bm.SetAnalytic(int64(ib.Lr), int64(ib.Lw))
-		cfg.Observers = append(cfg.Observers, bm)
+		sinks.Bounds.SetAnalytic(int64(ib.Lr), int64(ib.Lw))
 	}
-	if reg != nil {
-		cfg.Observers = append(cfg.Observers, obs.NewProtocolObserver(reg))
-	}
+	bm := sinks.Bounds
+	cfg.Observers = append(cfg.Observers, obs.NewPipeline(sinks))
 	s, err := sim.New(cfg)
 	if err != nil {
 		panic(err)

@@ -130,62 +130,52 @@ func main() {
 	}
 	b := analysis.BoundsOf(sys)
 
-	// Observability sinks: metrics, the online Theorem 1/2 bound monitor
-	// (analytic envelope, overhead-inflated; only where the paper claims the
-	// bounds — RW-RNLP under a P1/P2 progress mechanism), and the Perfetto
-	// trace builder.
-	var observers []core.Observer
-	// The flight recorder is attached first so each event's record is already
-	// in the ring when the metrics observer tags acquisition-delay exemplars
-	// with LastSeqOf — the exemplar's flight_seq then names the satisfaction
-	// event itself.
-	var fl *obs.FlightRecorder
+	// One observability pipeline over the run's event stream: flight
+	// recorder, metrics, the online Theorem 1/2 bound monitor (analytic
+	// envelope, overhead-inflated; only where the paper claims the bounds —
+	// RW-RNLP under a P1/P2 progress mechanism), attribution, watchdog, and
+	// the Perfetto trace builder riding along as its raw observer.
+	bounded := proto == sim.ProtoRWRNLP && prog != sim.Inheritance
+	ib := b.Inflate(simtime.Time(*ovInv), simtime.Time(*ovCtx))
+	var sinks obs.Sinks
 	if *flightN > 0 || *flightO != "" {
-		fl = obs.NewFlightRecorder(1, *flightN) // the simulator runs one RSM
-		observers = append(observers, fl.ShardObserver(0))
+		sinks.Flight = obs.NewFlightRecorder(1, *flightN) // the simulator runs one RSM
 	}
+	fl := sinks.Flight
 	var reg *obs.Metrics
 	if *metricsF || *tsF > 0 {
 		reg = obs.NewMetrics()
-		po := obs.NewProtocolObserver(reg)
-		if fl != nil {
-			po.SetExemplarSource(fl, 0)
-		}
-		observers = append(observers, po)
+		sinks.Metrics = obs.NewProtocolObserver(reg)
 	}
-	var bm *obs.BoundMonitor
-	if proto == sim.ProtoRWRNLP && prog != sim.Inheritance {
-		bm = obs.NewBoundMonitor(sys.M)
-		ib := b.Inflate(simtime.Time(*ovInv), simtime.Time(*ovCtx))
-		bm.SetAnalytic(int64(ib.Lr), int64(ib.Lw))
-		observers = append(observers, bm)
+	if bounded {
+		sinks.Bounds = obs.NewBoundMonitor(sys.M)
+		sinks.Bounds.SetAnalytic(int64(ib.Lr), int64(ib.Lw))
 	}
-	var tb *obs.TraceBuilder
-	if *traceOut != "" {
-		tb = obs.NewTraceBuilder()
-		observers = append(observers, tb)
-	}
-	var attr *obs.Attributor
+	bm := sinks.Bounds
 	if *attrTopK > 0 {
 		if reg == nil {
 			reg = obs.NewMetrics()
 		}
-		attr = obs.NewAttributor(reg, *attrTopK)
-		observers = append(observers, attr)
+		sinks.Attribution = obs.NewAttributor(reg, *attrTopK)
 	}
-	var wd *obs.Watchdog
+	attr := sinks.Attribution
 	if *wdogF {
-		wd = obs.NewWatchdog(obs.WatchdogConfig{
+		sinks.Watchdog = obs.NewWatchdog(obs.WatchdogConfig{
 			M: sys.M, Slack: *wdSlack, Flight: fl,
 			OnStall: func(r obs.StallReport) {
 				fmt.Fprintf(os.Stderr, "watchdog: %s\n", r)
 			},
 		})
-		if proto == sim.ProtoRWRNLP && prog != sim.Inheritance {
-			ib := b.Inflate(simtime.Time(*ovInv), simtime.Time(*ovCtx))
-			wd.SetAnalytic(int64(ib.Lr), int64(ib.Lw))
+		if bounded {
+			sinks.Watchdog.SetAnalytic(int64(ib.Lr), int64(ib.Lw))
 		}
-		observers = append(observers, wd)
+	}
+	wd := sinks.Watchdog
+	pipe := obs.NewPipeline(sinks)
+	var tb *obs.TraceBuilder
+	if *traceOut != "" {
+		tb = obs.NewTraceBuilder()
+		pipe.Raw = tb
 	}
 
 	s, err := sim.New(sim.Config{
@@ -195,7 +185,7 @@ func main() {
 		Horizon:   simtime.Time(*horizon), Seed: *seed,
 		CheckInvariants: true, RecordRequests: true,
 		RecordSchedule: *gantt || tb != nil,
-		Observers:      observers,
+		Observers:      []core.Observer{pipe},
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -28,14 +28,16 @@ func (m *RSM) IssueIncremental(t Time, read, write, initialRead, initialWrite []
 	nr := NewResourceSet(read...)
 	nw := NewResourceSet(write...)
 	nr.SubtractWith(nw)
+	// Validate the ask before buildRequest mints an ID and counts the
+	// issuance: a rejected ask must leave no trace.
+	want := NewResourceSet(initialRead...)
+	want.UnionWith(NewResourceSet(initialWrite...))
+	if need := Union(nr, nw); !need.ContainsAll(want) {
+		return 0, fmt.Errorf("core: initial ask %s is not a subset of the potential set %s", want, need)
+	}
 	r, err := m.buildRequest(t, nr, nw, tag)
 	if err != nil {
 		return 0, err
-	}
-	want := NewResourceSet(initialRead...)
-	want.UnionWith(NewResourceSet(initialWrite...))
-	if !r.need.ContainsAll(want) {
-		return 0, fmt.Errorf("core: initial ask %s is not a subset of the potential set %s", want, r.need)
 	}
 	r.incremental = true
 	r.want = want

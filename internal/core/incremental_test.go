@@ -224,3 +224,32 @@ func TestIncrementalMergedAsks(t *testing.T) {
 	}
 	mustComplete(t, m, 5, id)
 }
+
+// TestIncrementalRejectedAskLeavesNoTrace: an initial ask outside the
+// potential set is rejected before anything is minted — the statistics, the
+// conservation identity Issued == Completed + Canceled, the next request ID
+// and the state key are exactly what they were.
+func TestIncrementalRejectedAskLeavesNoTrace(t *testing.T) {
+	m := NewRSM(fig2Spec(t), Options{})
+	first := mustIssue(t, m, 1, nil, []ResourceID{lb})
+	stats, key := m.Stats(), m.StateKey(nil)
+
+	if _, err := m.IssueIncremental(2, nil, []ResourceID{la}, nil, []ResourceID{lc}, nil); err == nil {
+		t.Fatal("out-of-set initial ask accepted")
+	}
+	if got := m.Stats(); got != stats {
+		t.Errorf("rejected ask changed the stats: %+v, was %+v", got, stats)
+	}
+	if got := m.StateKey(nil); got != key {
+		t.Errorf("rejected ask changed the state key:\n%s\nwas\n%s", got, key)
+	}
+	next := mustIssue(t, m, 3, nil, []ResourceID{la})
+	if next != first+1 {
+		t.Errorf("request after the rejected ask got ID %d, want %d", next, first+1)
+	}
+	mustComplete(t, m, 4, first)
+	mustComplete(t, m, 5, next)
+	if st := m.Stats(); st.Issued != st.Completed+st.Canceled {
+		t.Errorf("issued %d != completed %d + canceled %d", st.Issued, st.Completed, st.Canceled)
+	}
+}

@@ -117,6 +117,10 @@ func TestSpecExpandSelfCovering(t *testing.T) {
 	}
 }
 
+// fuzzMaxScript bounds a FuzzRSMInvocations script: the 7 spec bytes plus 96
+// three-byte operations.
+const fuzzMaxScript = 7 + 3*96
+
 // FuzzRSMInvocations is a native fuzz target driving the RSM with an
 // arbitrary byte-encoded invocation script; the invariant checker validates
 // every step. Run with `go test -fuzz=FuzzRSMInvocations ./internal/core`
@@ -127,6 +131,13 @@ func FuzzRSMInvocations(f *testing.F) {
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) < 2 {
 			return
+		}
+		// The checker runs after every step and a step's cost grows with the
+		// square of the live requests, so an unbounded script can take tens
+		// of seconds and be reported as a hang (512 uncompleted reads: 6.8 s).
+		// fuzzMaxScript keeps the worst input near 50 ms.
+		if len(script) > fuzzMaxScript {
+			script = script[:fuzzMaxScript]
 		}
 		q := int(script[0])%6 + 2
 		b := NewSpecBuilder(q)
@@ -178,8 +189,8 @@ func FuzzRSMInvocations(f *testing.F) {
 			ck.check("fuzz")
 		}
 		// Drain. One completion per round, so the round budget must cover
-		// every live request (a long script can leave well over 1000): only
-		// a round with no satisfiable request is a genuine liveness failure.
+		// every live request: only a round with no satisfiable request is a
+		// genuine liveness failure.
 		budget := len(live) + 16
 		for rounds := 0; rounds < budget && len(live) > 0; rounds++ {
 			now++

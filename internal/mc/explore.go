@@ -304,8 +304,9 @@ func checkBounds(r *runner, m int) *Violation {
 	lr, lw := observedEnvelope(r.events)
 	bm := obs.NewBoundMonitor(m)
 	bm.SetAnalytic(lr, lw)
+	pl := obs.NewPipeline(obs.Sinks{Bounds: bm})
 	for _, e := range r.events {
-		bm.Observe(e)
+		pl.Observe(e)
 	}
 	rep := bm.Report()
 	if rep.Ok() {

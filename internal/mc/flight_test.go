@@ -30,7 +30,7 @@ func TestReplayViolationIntoFlightRecorder(t *testing.T) {
 	}
 
 	fl := obs.NewFlightRecorder(1, 256)
-	rv, err := ReplayObserved(v.Scenario, v.Path, fl.ShardObserver(0))
+	rv, err := ReplayObserved(v.Scenario, v.Path, obs.NewPipeline(obs.Sinks{Flight: fl}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,42 +85,31 @@ func (c BlockChain) String() string {
 	return b.String()
 }
 
-// attrPending is the per-request state between issue and satisfaction.
-type attrPending struct {
-	kind            core.Kind
-	incremental     bool
-	tag             any
-	waitStart       core.Time
-	entitleT        core.Time
-	entitled        bool
-	satisfied       bool
-	issueBlockers   []core.ReqID
-	entitleBlockers []core.ReqID
-}
-
 // attrRecentCap bounds how many completed chains the attributor retains for
 // transitive chain expansion in reports and for the trace join (FIFO
 // eviction).
 const attrRecentCap = 4096
 
-// Attributor converts the RSM's event stream — including the Blockers wait
-// edges on EvIssued/EvEntitled — into a causal blocking attribution: per-
-// component delay histograms (recorded into a Metrics registry) and a top-K
-// list of the worst blocking chains, each naming the exact requests waited
-// behind. It implements core.Observer and must see full request lifecycles;
-// attach it before issuing requests.
+// Attributor is the pipeline's causal-attribution sink: from each satisfied
+// request's decoded state — including the Blockers wait edges of its
+// EvIssued/EvEntitled — it builds per-component delay histograms (recorded
+// into a Metrics registry) and a top-K list of the worst blocking chains,
+// each naming the exact requests waited behind. Its pipelines must see full
+// request lifecycles; attach them before issuing requests.
 //
-// The write half of an upgradeable pair restarts its wait when the read
-// segment finishes (its Theorem 2 bound applies per wait); incremental
-// requests are tallied but not decomposed, since their issue-to-satisfaction
-// span includes hold phases between grants (Sec. 3.7).
+// The write half of an upgradeable pair is attributed per wait (see
+// reqState.waitStart); incremental requests are tallied but not decomposed,
+// since their issue-to-satisfaction span includes hold phases between grants
+// (Sec. 3.7).
+//
+// The attributor keeps only the chains it has built and may serve any number
+// of pipelines; mu guards the chains and is taken once per satisfied request,
+// when its chain is stored, and by the read side.
 type Attributor struct {
-	mu sync.Mutex
-
 	readBehind, readEnt, wQueue, wPhase *Histogram
 	immediate                           *Counter
 
-	pending map[core.ReqID]*attrPending
+	mu sync.Mutex
 
 	// ring holds the retained chains in satisfaction order: it grows to
 	// ringCap entries (attrRecentCap; tests shrink it), then head is the
@@ -154,7 +143,6 @@ func NewAttributor(m *Metrics, topK int) *Attributor {
 		wQueue:     m.Histogram(AttrWriterQueueWait),
 		wPhase:     m.Histogram(AttrWriterReadPhase),
 		immediate:  m.Counter(AttrImmediate),
-		pending:    map[core.ReqID]*attrPending{},
 		ringCap:    attrRecentCap,
 		recent:     map[core.ReqID]*BlockChain{},
 		byTag:      map[string]*BlockChain{},
@@ -162,104 +150,47 @@ func NewAttributor(m *Metrics, topK int) *Attributor {
 	}
 }
 
-// Observe implements core.Observer.
-func (a *Attributor) Observe(e core.Event) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	switch e.Type {
-	case core.EvIssued:
-		a.pending[e.Req] = &attrPending{
-			kind:          e.Kind,
-			incremental:   e.Incremental,
-			tag:           e.Tag,
-			waitStart:     e.T,
-			issueBlockers: append([]core.ReqID(nil), e.Blockers...),
-		}
-
-	case core.EvEntitled:
-		if p := a.pending[e.Req]; p != nil {
-			p.entitled = true
-			p.entitleT = e.T
-			p.entitleBlockers = append([]core.ReqID(nil), e.Blockers...)
-		}
-
-	case core.EvSatisfied:
-		p := a.pending[e.Req]
-		if p == nil || p.satisfied {
-			return
-		}
-		p.satisfied = true
-		if p.incremental {
-			a.skippedInc++
-			return
-		}
-		a.checked++
-		a.attribute(e, p)
-
-	case core.EvCompleted, core.EvCanceled:
-		delete(a.pending, e.Req)
-
-	case core.EvReadSegmentDone:
-		delete(a.pending, e.Req)
-		// The write half's bound applies per wait: restart its clock, and
-		// drop stale wait edges from the pair's issuance.
-		if peer := a.pending[e.Pair]; peer != nil && !peer.satisfied {
-			peer.waitStart = e.T
-			if peer.entitled {
-				peer.entitleT = e.T
-			}
-			peer.issueBlockers = nil
-			peer.entitleBlockers = nil
-		}
+// consume decomposes a just-satisfied request's delay and records its
+// chain.
+func (a *Attributor) consume(t *transition) {
+	p := t.state
+	if t.Type != core.EvSatisfied || p == nil {
+		return
 	}
-}
-
-// attribute decomposes one satisfied request's delay and records the chain.
-// Caller holds a.mu.
-func (a *Attributor) attribute(e core.Event, p *attrPending) {
-	delay := int64(e.T - p.waitStart)
-	if delay < 0 {
-		delay = 0
+	if p.incremental {
+		a.mu.Lock()
+		a.skippedInc++
+		a.mu.Unlock()
+		return
 	}
+	delay := max(t.delay, 0)
 	c := &BlockChain{
-		Req:             e.Req,
+		Req:             t.Req,
 		Kind:            p.kind,
 		IssueT:          p.waitStart,
-		SatisfyT:        e.T,
+		SatisfyT:        t.T,
 		Delay:           delay,
 		IssueBlockers:   p.issueBlockers,
 		EntitleBlockers: p.entitleBlockers,
 	}
-	switch tag := p.tag.(type) {
-	case nil:
-	case string:
-		c.Tag = tag
-	default:
-		c.Tag = fmt.Sprint(tag)
+	if p.tag != nil {
+		c.Tag = tagString(p.tag)
 	}
 
 	if delay == 0 {
 		a.immediate.Inc()
 	} else {
 		// Split the wait at the entitlement instant, clamped into the wait
-		// window so the parts sum to delay exactly even when the clock was
-		// restarted mid-wait (upgradeable write halves).
-		eT := e.T
+		// window so the parts sum to delay exactly even when the wait was
+		// restarted after entitlement (upgradeable write halves).
+		eT := t.T
 		if p.entitled {
-			eT = p.entitleT
-			if eT < p.waitStart {
-				eT = p.waitStart
-			}
-			if eT > e.T {
-				eT = e.T
-			}
-		} else if p.kind == core.KindWrite {
-			// A write satisfied from Waiting skipped entitlement only on the
-			// immediate path; a delayed one always passed through Def. 4
-			// (Props. E7/E9). Defensive: charge the whole span as queue wait.
-			eT = e.T
+			eT = min(max(p.entitleT, p.waitStart), t.T)
 		}
-		pre, ent := int64(eT-p.waitStart), int64(e.T-eT)
+		// A write satisfied from Waiting skipped entitlement only on the
+		// immediate path; a delayed one always passed through Def. 4 (Props.
+		// E7/E9). Were it not so, eT = T charges the whole span as queue wait.
+		pre, ent := int64(eT-p.waitStart), int64(t.T-eT)
 		if p.kind == core.KindRead {
 			if pre > 0 {
 				c.Parts = append(c.Parts, DelayPart{AttrReaderBehindWriter, pre})
@@ -281,8 +212,11 @@ func (a *Attributor) attribute(e core.Event, p *attrPending) {
 		}
 	}
 
+	a.mu.Lock()
+	a.checked++
 	a.remember(c)
 	a.rank(c)
+	a.mu.Unlock()
 }
 
 // remember stores the chain for transitive expansion and the trace join,

@@ -18,7 +18,7 @@ func TestAttributorFig2(t *testing.T) {
 	m := NewMetrics()
 	a := NewAttributor(m, 10)
 	rsm := core.NewRSM(core.NewSpecBuilder(2).Build(), core.Options{})
-	rsm.SetObserver(a)
+	rsm.SetObserver(NewPipeline(Sinks{Attribution: a}))
 
 	// t=1: read A holds {0} — the read phase.
 	ra, err := rsm.Issue(1, []core.ResourceID{0}, nil, "A")
@@ -139,7 +139,7 @@ func TestAttributorTopK(t *testing.T) {
 	m := NewMetrics()
 	a := NewAttributor(m, 3)
 	rsm := core.NewRSM(core.NewSpecBuilder(1).Build(), core.Options{})
-	rsm.SetObserver(a)
+	rsm.SetObserver(NewPipeline(Sinks{Attribution: a}))
 
 	// Six writers contend for resource 0 in sequence: later ones wait longer.
 	var ids []core.ReqID
@@ -178,7 +178,7 @@ func TestAttributorUpgradeRestart(t *testing.T) {
 	m := NewMetrics()
 	a := NewAttributor(m, 4)
 	rsm := core.NewRSM(core.NewSpecBuilder(1).Build(), core.Options{})
-	rsm.SetObserver(a)
+	rsm.SetObserver(NewPipeline(Sinks{Attribution: a}))
 
 	// A plain reader holds the read phase first, so the write half cannot be
 	// satisfied as soon as the read segment finishes.
@@ -221,9 +221,10 @@ func TestAttributorUpgradeRestart(t *testing.T) {
 // satisfyNow feeds the attributor one request's whole lifecycle, satisfied at
 // issuance, so exactly one chain is remembered.
 func satisfyNow(a *Attributor, id core.ReqID, tag any) {
-	a.Observe(core.Event{Type: core.EvIssued, T: 1, Req: id, Kind: core.KindWrite, Tag: tag})
-	a.Observe(core.Event{Type: core.EvSatisfied, T: 1, Req: id})
-	a.Observe(core.Event{Type: core.EvCompleted, T: 2, Req: id})
+	pl := NewPipeline(Sinks{Attribution: a})
+	pl.Observe(core.Event{Type: core.EvIssued, T: 1, Req: id, Kind: core.KindWrite, Tag: tag})
+	pl.Observe(core.Event{Type: core.EvSatisfied, T: 1, Req: id})
+	pl.Observe(core.Event{Type: core.EvCompleted, T: 2, Req: id})
 }
 
 // scanRing is the reference the index replaced: the retained chains are the
@@ -387,7 +388,7 @@ func TestChainByTagMatchesLinearScan(t *testing.T) {
 func TestChainByTagResolvesBlockerTags(t *testing.T) {
 	a := NewAttributor(NewMetrics(), 4)
 	rsm := core.NewRSM(core.NewSpecBuilder(1).Build(), core.Options{})
-	rsm.SetObserver(a)
+	rsm.SetObserver(NewPipeline(Sinks{Attribution: a}))
 	w, err := rsm.Issue(1, nil, []core.ResourceID{0}, "trace-w")
 	if err != nil {
 		t.Fatal(err)

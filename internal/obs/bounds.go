@@ -4,15 +4,14 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"github.com/rtsync/rwrnlp/internal/core"
 )
 
-// BoundMonitor checks every observed acquisition delay against the paper's
-// analytical envelopes — Theorem 1 (read: ≤ L^r_max + L^w_max) and Theorem 2
-// (write: ≤ (m−1)(L^r_max + L^w_max)) — turning each run into an empirical
-// falsification attempt.
+// BoundMonitor is the pipeline's falsification sink: it checks every
+// acquisition delay against the paper's analytical envelopes — Theorem 1
+// (read: ≤ L^r_max + L^w_max) and Theorem 2 (write: ≤ (m−1)(L^r_max +
+// L^w_max)) — turning each run into an empirical falsification attempt.
 //
 // Two modes:
 //
@@ -21,31 +20,23 @@ import (
 //     satisfaction is checked online against the fixed envelope.
 //
 //   - Observed-envelope (default): L^r_max/L^w_max are the maxima of the
-//     critical-section lengths seen so far. Because the envelope only grows,
-//     a delay within the *current* envelope can never exceed the final one,
-//     so the monitor stores only candidate violations (delay above the
-//     envelope at satisfaction time) and Report re-filters them against the
-//     final envelope. This makes the monitor sound with zero prior knowledge
-//     of the workload.
+//     critical-section lengths its pipeline has seen so far. Because that
+//     envelope only grows, the monitor stores only candidate violations
+//     (delay above the envelope at satisfaction time) and Report re-filters
+//     them against the final envelope. This makes the monitor sound with zero
+//     prior knowledge of the workload.
 //
 // Incremental requests (Sec. 3.7) are excluded: their issue-to-satisfaction
 // span includes hold phases between grants, and Theorems 1–2 bound each
 // *ask*, which the event stream does not delimit; they are tallied in
 // SkippedIncremental. The write half of an upgradeable pair (Sec. 3.6) is
-// checked per wait: its clock restarts when the read segment finishes,
-// because the optimistic read segment is not blocking.
+// checked per wait (see reqState.waitStart).
 //
-// The monitor implements core.Observer and must see full request lifecycles.
+// The monitor keeps only its verdicts; its pipeline must see full request
+// lifecycles.
 type BoundMonitor struct {
-	mu sync.Mutex
-
-	m        int // processor count for Theorem 2's (m−1) factor
-	analytic bool
-	lr, lw   int64 // analytic envelope (valid if analytic)
-
-	obsLr, obsLw int64 // observed per-kind max CS length
-
-	pending map[core.ReqID]*pendingReq
+	env    Envelope  // configuration: M, and Lr/Lw if analytic
+	stream *Pipeline // set by NewPipeline; source of the observed envelope
 
 	checked    int64
 	skippedInc int64
@@ -70,93 +61,36 @@ func (v BoundViolation) String() string {
 // NewBoundMonitor creates a monitor in observed-envelope mode for an
 // m-processor system.
 func NewBoundMonitor(m int) *BoundMonitor {
-	return &BoundMonitor{m: m, pending: map[core.ReqID]*pendingReq{}}
+	return &BoundMonitor{env: Envelope{M: m}}
 }
 
 // SetAnalytic switches to analytic mode with the given L^r_max/L^w_max
 // (inflate for charged overheads before calling — see analysis.Bounds).
 // Call before any events are observed.
 func (b *BoundMonitor) SetAnalytic(lr, lw int64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.analytic, b.lr, b.lw = true, lr, lw
+	b.env.Analytic, b.env.Lr, b.env.Lw = true, lr, lw
 }
 
-func (b *BoundMonitor) readBound(lr, lw int64) int64 { return lr + lw }
-
-func (b *BoundMonitor) writeBound(lr, lw int64) int64 {
-	return int64(b.m-1) * (lr + lw)
-}
-
-// Observe implements core.Observer.
-func (b *BoundMonitor) Observe(e core.Event) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch e.Type {
-	case core.EvIssued:
-		b.pending[e.Req] = &pendingReq{
-			kind:        e.Kind,
-			incremental: e.Incremental,
-			waitStart:   e.T,
-			satisfyT:    -1,
-		}
-
-	case core.EvSatisfied:
-		p := b.pending[e.Req]
-		if p == nil {
-			return
-		}
-		p.satisfied = true
-		p.satisfyT = e.T
-		if p.incremental {
-			b.skippedInc++
-			return
-		}
-		b.checked++
-		delay := int64(e.T - p.waitStart)
-		lr, lw := b.lr, b.lw
-		if !b.analytic {
-			lr, lw = b.obsLr, b.obsLw
-		}
-		bound := b.readBound(lr, lw)
-		if p.kind == core.KindWrite {
-			bound = b.writeBound(lr, lw)
-		}
-		if delay > bound {
-			b.candidates = append(b.candidates, BoundViolation{
-				Req: e.Req, Kind: p.kind, T: e.T, Delay: delay, Bound: bound,
-			})
-		}
-
-	case core.EvCompleted, core.EvReadSegmentDone:
-		p := b.pending[e.Req]
-		if p != nil && p.satisfied && !p.incremental {
-			cs := int64(e.T - p.satisfyT)
-			if p.kind == core.KindRead {
-				if cs > b.obsLr {
-					b.obsLr = cs
-				}
-			} else if cs > b.obsLw {
-				b.obsLw = cs
-			}
-		}
-		delete(b.pending, e.Req)
-		if e.Type == core.EvReadSegmentDone {
-			if peer := b.pending[e.Pair]; peer != nil && !peer.satisfied {
-				peer.waitStart = e.T
-			}
-		}
-
-	case core.EvCanceled:
-		delete(b.pending, e.Req)
+func (b *BoundMonitor) consume(t *transition) {
+	r := t.state
+	if t.Type != core.EvSatisfied || r == nil {
+		return
+	}
+	if r.incremental {
+		b.skippedInc++
+		return
+	}
+	b.checked++
+	if bound := b.stream.observed(b.env).Bound(r.kind); t.delay > bound {
+		b.candidates = append(b.candidates, BoundViolation{
+			Req: t.Req, Kind: r.kind, T: t.T, Delay: t.delay, Bound: bound,
+		})
 	}
 }
 
 // BoundReport is the monitor's verdict over everything observed so far.
 type BoundReport struct {
-	M                  int
-	Analytic           bool
-	Lr, Lw             int64 // envelope used: analytic inputs or observed maxima
+	Envelope           // the envelope used: analytic inputs or observed maxima
 	Checked            int64
 	SkippedIncremental int64
 	Violations         []BoundViolation
@@ -173,7 +107,7 @@ func (r BoundReport) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb,
 		"bound monitor (%s, m=%d): Lr=%d Lw=%d read-bound=%d write-bound=%d; checked=%d skipped-incremental=%d violations=%d\n",
-		mode, r.M, r.Lr, r.Lw, r.Lr+r.Lw, int64(r.M-1)*(r.Lr+r.Lw),
+		mode, r.M, r.Lr, r.Lw, r.ReadBound(), r.WriteBound(),
 		r.Checked, r.SkippedIncremental, len(r.Violations))
 	for _, v := range r.Violations {
 		fmt.Fprintf(&sb, "  VIOLATION %s\n", v)
@@ -186,25 +120,13 @@ func (r BoundReport) String() string {
 // because the envelope is monotone); in analytic mode they are returned
 // as-is. The monitor may keep observing after Report.
 func (b *BoundMonitor) Report() BoundReport {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	r := BoundReport{
-		M:                  b.m,
-		Analytic:           b.analytic,
-		Lr:                 b.lr,
-		Lw:                 b.lw,
+		Envelope:           b.stream.observed(b.env),
 		Checked:            b.checked,
 		SkippedIncremental: b.skippedInc,
 	}
-	if !b.analytic {
-		r.Lr, r.Lw = b.obsLr, b.obsLw
-	}
 	for _, v := range b.candidates {
-		bound := b.readBound(r.Lr, r.Lw)
-		if v.Kind == core.KindWrite {
-			bound = b.writeBound(r.Lr, r.Lw)
-		}
-		if v.Delay > bound {
+		if bound := r.Bound(v.Kind); v.Delay > bound {
 			v.Bound = bound
 			r.Violations = append(r.Violations, v)
 		}

@@ -13,17 +13,18 @@ import (
 
 func TestBoundMonitorAnalyticViolation(t *testing.T) {
 	bm := NewBoundMonitor(4)
+	pl := NewPipeline(Sinks{Bounds: bm})
 	bm.SetAnalytic(10, 10) // read bound 20, write bound 60
 
 	// Read satisfied within bound.
-	bm.Observe(ev(0, core.EvIssued, 1, core.KindRead))
-	bm.Observe(ev(20, core.EvSatisfied, 1, core.KindRead))
+	pl.Observe(ev(0, core.EvIssued, 1, core.KindRead))
+	pl.Observe(ev(20, core.EvSatisfied, 1, core.KindRead))
 	// Read satisfied beyond bound: delay 21 > 20.
-	bm.Observe(ev(0, core.EvIssued, 2, core.KindRead))
-	bm.Observe(ev(21, core.EvSatisfied, 2, core.KindRead))
+	pl.Observe(ev(0, core.EvIssued, 2, core.KindRead))
+	pl.Observe(ev(21, core.EvSatisfied, 2, core.KindRead))
 	// Write within bound: delay 60.
-	bm.Observe(ev(0, core.EvIssued, 3, core.KindWrite))
-	bm.Observe(ev(60, core.EvSatisfied, 3, core.KindWrite))
+	pl.Observe(ev(0, core.EvIssued, 3, core.KindWrite))
+	pl.Observe(ev(60, core.EvSatisfied, 3, core.KindWrite))
 
 	rep := bm.Report()
 	if rep.Checked != 3 {
@@ -45,17 +46,18 @@ func TestBoundMonitorAnalyticViolation(t *testing.T) {
 // final envelope must not be reported.
 func TestBoundMonitorObservedEnvelope(t *testing.T) {
 	bm := NewBoundMonitor(2)
+	pl := NewPipeline(Sinks{Bounds: bm})
 
 	// Req 1 (write): satisfied immediately, CS of 50 → obsLw=50 afterwards.
-	bm.Observe(ev(0, core.EvIssued, 1, core.KindWrite))
-	bm.Observe(ev(0, core.EvSatisfied, 1, core.KindWrite))
+	pl.Observe(ev(0, core.EvIssued, 1, core.KindWrite))
+	pl.Observe(ev(0, core.EvSatisfied, 1, core.KindWrite))
 	// Req 2 (read): issued t=10, satisfied t=40 — delay 30 exceeds the
 	// current envelope (obsLr=obsLw=0 → bound 0) and becomes a candidate.
-	bm.Observe(ev(10, core.EvIssued, 2, core.KindRead))
-	bm.Observe(ev(40, core.EvSatisfied, 2, core.KindRead))
+	pl.Observe(ev(10, core.EvIssued, 2, core.KindRead))
+	pl.Observe(ev(40, core.EvSatisfied, 2, core.KindRead))
 	// Req 1 completes at t=50: CS length 50, envelope grows to cover req 2.
-	bm.Observe(ev(50, core.EvCompleted, 1, core.KindWrite))
-	bm.Observe(ev(60, core.EvCompleted, 2, core.KindRead))
+	pl.Observe(ev(50, core.EvCompleted, 1, core.KindWrite))
+	pl.Observe(ev(60, core.EvCompleted, 2, core.KindRead))
 
 	rep := bm.Report()
 	if rep.Checked != 2 {
@@ -72,14 +74,15 @@ func TestBoundMonitorObservedEnvelope(t *testing.T) {
 
 func TestBoundMonitorObservedEnvelopeRealViolation(t *testing.T) {
 	bm := NewBoundMonitor(2)
+	pl := NewPipeline(Sinks{Bounds: bm})
 	// One short write CS (10), then a read that waits 100 — far beyond any
 	// envelope the stream can justify.
-	bm.Observe(ev(0, core.EvIssued, 1, core.KindWrite))
-	bm.Observe(ev(0, core.EvSatisfied, 1, core.KindWrite))
-	bm.Observe(ev(10, core.EvCompleted, 1, core.KindWrite))
-	bm.Observe(ev(10, core.EvIssued, 2, core.KindRead))
-	bm.Observe(ev(110, core.EvSatisfied, 2, core.KindRead))
-	bm.Observe(ev(111, core.EvCompleted, 2, core.KindRead))
+	pl.Observe(ev(0, core.EvIssued, 1, core.KindWrite))
+	pl.Observe(ev(0, core.EvSatisfied, 1, core.KindWrite))
+	pl.Observe(ev(10, core.EvCompleted, 1, core.KindWrite))
+	pl.Observe(ev(10, core.EvIssued, 2, core.KindRead))
+	pl.Observe(ev(110, core.EvSatisfied, 2, core.KindRead))
+	pl.Observe(ev(111, core.EvCompleted, 2, core.KindRead))
 
 	rep := bm.Report()
 	if len(rep.Violations) != 1 || rep.Violations[0].Req != 2 {
@@ -95,25 +98,26 @@ func TestBoundMonitorObservedEnvelopeRealViolation(t *testing.T) {
 // EvReadSegmentDone, so only the post-restart delay is checked.
 func TestBoundMonitorUpgradePair(t *testing.T) {
 	bm := NewBoundMonitor(2)
+	pl := NewPipeline(Sinks{Bounds: bm})
 	bm.SetAnalytic(10, 10) // write bound (2−1)·20 = 20
 
 	rd := ev(0, core.EvIssued, 1, core.KindRead)
 	rd.Pair = 2
 	wr := ev(0, core.EvIssued, 2, core.KindWrite)
 	wr.Pair = 1
-	bm.Observe(rd)
-	bm.Observe(wr)
+	pl.Observe(rd)
+	pl.Observe(wr)
 	sat := ev(0, core.EvSatisfied, 1, core.KindRead)
 	sat.Pair = 2
-	bm.Observe(sat)
+	pl.Observe(sat)
 	done := ev(50, core.EvReadSegmentDone, 1, core.KindRead)
 	done.Pair = 2
-	bm.Observe(done)
+	pl.Observe(done)
 	// Write half satisfied at t=65: per-wait delay 15 ≤ 20 even though the
 	// pair has been in the system for 65.
 	wsat := ev(65, core.EvSatisfied, 2, core.KindWrite)
 	wsat.Pair = 1
-	bm.Observe(wsat)
+	pl.Observe(wsat)
 
 	if rep := bm.Report(); !rep.Ok() {
 		t.Errorf("write half flagged despite per-wait delay within bound: %v", rep.Violations)
@@ -122,13 +126,14 @@ func TestBoundMonitorUpgradePair(t *testing.T) {
 
 func TestBoundMonitorSkipsIncremental(t *testing.T) {
 	bm := NewBoundMonitor(2)
+	pl := NewPipeline(Sinks{Bounds: bm})
 	bm.SetAnalytic(1, 1)
 	e := ev(0, core.EvIssued, 1, core.KindWrite)
 	e.Incremental = true
-	bm.Observe(e)
+	pl.Observe(e)
 	sat := ev(1000, core.EvSatisfied, 1, core.KindWrite)
 	sat.Incremental = true
-	bm.Observe(sat)
+	pl.Observe(sat)
 
 	rep := bm.Report()
 	if rep.Checked != 0 || rep.SkippedIncremental != 1 {
@@ -152,7 +157,9 @@ func TestBoundMonitorFig2(t *testing.T) {
 		System: sys, Policy: sched.EDF, Progress: sim.SpinNP,
 		Protocol: sim.ProtoRWRNLP, Horizon: 12, JobsPerTask: 1,
 		CheckInvariants: true,
-		Observers:       []core.Observer{analytic, observed},
+		Observers: []core.Observer{
+			NewPipeline(Sinks{Bounds: analytic}), NewPipeline(Sinks{Bounds: observed}),
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

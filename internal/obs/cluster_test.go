@@ -23,7 +23,7 @@ func newScrapeTarget(t *testing.T) *httptest.Server {
 	time.Sleep(2 * time.Millisecond)
 	ts.Capture()
 	attr := NewAttributor(m, 5)
-	driveFig2(t, attr)
+	driveFig2(t, NewPipeline(Sinks{Attribution: attr}))
 	srv := httptest.NewServer(NewDebugMux(DebugMuxConfig{
 		Metrics:     m,
 		Series:      ts,
@@ -130,8 +130,8 @@ func goroutinesWith(sub string) int {
 func TestMergeFlightDumps(t *testing.T) {
 	fl1 := NewFlightRecorder(2, 64)
 	fl2 := NewFlightRecorder(1, 64)
-	driveFig2(t, fl1.ShardObserver(0))
-	driveFig2(t, fl2.ShardObserver(0))
+	driveFig2(t, NewPipeline(Sinks{Flight: fl1}))
+	driveFig2(t, NewPipeline(Sinks{Flight: fl2}))
 
 	d1, d2 := fl1.Dump(), fl2.Dump()
 	m := MergeFlightDumps([]FlightDump{d1, d2}, []string{"n1", "n2"})

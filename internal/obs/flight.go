@@ -109,7 +109,6 @@ func (r FlightRecord) Event() core.Event {
 type flightRing struct {
 	slots []atomic.Pointer[FlightRecord]
 	next  atomic.Uint64 // next slot index to write (monotonic, mod len)
-	last  atomic.Uint64 // global Seq of the most recent record in this ring
 }
 
 // DefaultFlightDepth is the per-shard ring capacity when none is given.
@@ -124,8 +123,6 @@ type FlightRecorder struct {
 	drops atomic.Uint64 // malformed deliveries (out-of-range shard)
 }
 
-// NewFlightRecorder creates a recorder for nshards shards with perShard ring
-// slots each (<= 0 selects DefaultFlightDepth).
 // tagString renders a caller-supplied event tag. Trace IDs — the common case
 // and the only one on the contended hot path — are plain strings and take the
 // allocation-free type assertion; anything else falls back to fmt.Sprint.
@@ -136,6 +133,8 @@ func tagString(v any) string {
 	return fmt.Sprint(v)
 }
 
+// NewFlightRecorder creates a recorder for nshards shards with perShard ring
+// slots each (<= 0 selects DefaultFlightDepth).
 func NewFlightRecorder(nshards, perShard int) *FlightRecorder {
 	if nshards < 1 {
 		nshards = 1
@@ -153,12 +152,14 @@ func NewFlightRecorder(nshards, perShard int) *FlightRecorder {
 // Shards reports the number of shard rings.
 func (f *FlightRecorder) Shards() int { return len(f.rings) }
 
-// Record stores one event into the given shard's ring. Must be serialized
-// per shard by the caller.
-func (f *FlightRecorder) Record(shard int, e core.Event) {
+// Record stores one event into the given shard's ring and returns the
+// record's global sequence number (0 if the shard is out of range) — what a
+// metric exemplar carries to link a tail sample to its flight-recorder
+// window. Must be serialized per shard by the caller.
+func (f *FlightRecorder) Record(shard int, e core.Event) uint64 {
 	if shard < 0 || shard >= len(f.rings) {
 		f.drops.Add(1)
-		return
+		return 0
 	}
 	rec := &FlightRecord{
 		Seq:         f.gseq.Add(1),
@@ -185,25 +186,7 @@ func (f *FlightRecorder) Record(shard int, e core.Event) {
 	ring := &f.rings[shard]
 	idx := ring.next.Add(1) - 1
 	ring.slots[idx%uint64(len(ring.slots))].Store(rec)
-	ring.last.Store(rec.Seq)
-}
-
-// LastSeqOf returns the global sequence number of the most recent record in
-// the given shard's ring (0 if none). Under the per-shard serialization
-// contract, an observer running after Record in the same delivery sees the
-// sequence of exactly that event — the hook metric exemplars use to link a
-// tail sample to its flight-recorder window.
-func (f *FlightRecorder) LastSeqOf(shard int) uint64 {
-	if shard < 0 || shard >= len(f.rings) {
-		return 0
-	}
-	return f.rings[shard].last.Load()
-}
-
-// ShardObserver adapts one shard's ring to core.Observer, for planes that
-// attach observers directly (simulator, model checker).
-func (f *FlightRecorder) ShardObserver(shard int) core.Observer {
-	return core.ObserverFunc(func(e core.Event) { f.Record(shard, e) })
+	return rec.Seq
 }
 
 // FlightDump is a stable snapshot of the recorder: all retained records in
@@ -281,15 +264,21 @@ func (d FlightDump) WritePerfetto(w io.Writer) error {
 	return err
 }
 
-// Attribution replays the dump through a fresh Attributor and returns its
-// report — the offline path used by cmd/flightdump. Requests whose issuance
-// fell off the ring are invisible to the attributor and are skipped.
-func (d FlightDump) Attribution(topK int) AttributionReport {
+// attribute replays the dump through a fresh Attributor. Requests whose
+// issuance fell off the ring are invisible to it and are skipped.
+func (d FlightDump) attribute(topK int) *Attributor {
 	a := NewAttributor(NewMetrics(), topK)
+	pl := NewPipeline(Sinks{Attribution: a})
 	for _, e := range d.Events() {
-		a.Observe(e)
+		pl.Observe(e)
 	}
-	return a.Report()
+	return a
+}
+
+// Attribution is the attribution report of the dump's replay — the offline
+// path used by cmd/flightdump.
+func (d FlightDump) Attribution(topK int) AttributionReport {
+	return d.attribute(topK).Report()
 }
 
 // MergeFlightDumps merges per-node flight dumps into one cluster dump, the
@@ -374,10 +363,9 @@ func (d FlightDump) FilterTag(tag string) FlightDump {
 
 // ResolveSeq resolves a flight sequence number — as carried by a metric
 // exemplar — into the record it names and the blocking chain of that
-// record's request, reconstructed by replaying the dump through a fresh
-// Attributor. This is the exemplar → attribution leg of the telemetry loop:
-// scrape OpenMetrics, take a tail bucket's flight_seq, resolve it here (or
-// via `flightdump -seq`).
+// record's request, reconstructed by replaying the dump. This is the
+// exemplar → attribution leg of the telemetry loop: scrape OpenMetrics, take
+// a tail bucket's flight_seq, resolve it here (or via `flightdump -seq`).
 //
 // It fails if the sequence is no longer retained (the ring wrapped) or if
 // the request's lifecycle is too truncated in the dump to attribute.
@@ -392,11 +380,7 @@ func (d FlightDump) ResolveSeq(seq uint64) (FlightRecord, BlockChain, error) {
 	if rec == nil {
 		return FlightRecord{}, BlockChain{}, fmt.Errorf("flight seq %d not retained (ring wrapped or recorder restarted)", seq)
 	}
-	a := NewAttributor(NewMetrics(), 1)
-	for _, e := range d.Events() {
-		a.Observe(e)
-	}
-	chain, ok := a.Chain(core.ReqID(rec.Req))
+	chain, ok := d.attribute(1).Chain(core.ReqID(rec.Req))
 	if !ok {
 		return *rec, BlockChain{}, fmt.Errorf("flight seq %d: request %d has no attributable chain in the dump (lifecycle truncated by the ring)", seq, rec.Req)
 	}

@@ -38,7 +38,7 @@ func driveFig2(t *testing.T, o core.Observer) (a, b, c core.ReqID) {
 // and the decoded records must reconstruct the original wait edges.
 func TestFlightDumpRoundTrip(t *testing.T) {
 	fl := NewFlightRecorder(1, 64)
-	_, wb, rc := driveFig2(t, fl.ShardObserver(0))
+	_, wb, rc := driveFig2(t, NewPipeline(Sinks{Flight: fl}))
 
 	d := fl.Dump()
 	if len(d.Records) == 0 {
@@ -105,7 +105,7 @@ func TestFlightRingBounded(t *testing.T) {
 // each satisfied request).
 func TestFlightDumpPerfetto(t *testing.T) {
 	fl := NewFlightRecorder(1, 64)
-	driveFig2(t, fl.ShardObserver(0))
+	driveFig2(t, NewPipeline(Sinks{Flight: fl}))
 
 	var buf bytes.Buffer
 	if err := fl.Dump().WritePerfetto(&buf); err != nil {
@@ -135,7 +135,7 @@ func TestFlightDumpPerfetto(t *testing.T) {
 // attribution (the cmd/flightdump path).
 func TestFlightDumpAttribution(t *testing.T) {
 	fl := NewFlightRecorder(1, 64)
-	_, _, rc := driveFig2(t, fl.ShardObserver(0))
+	_, _, rc := driveFig2(t, NewPipeline(Sinks{Flight: fl}))
 
 	rep := fl.Dump().Attribution(5)
 	if len(rep.Top) == 0 || rep.Top[0].Req != rc {

@@ -120,7 +120,7 @@ func TestDebugMux(t *testing.T) {
 // ?format=perfetto.
 func TestFlightHandlerPerfetto(t *testing.T) {
 	fl := NewFlightRecorder(1, 64)
-	driveFig2(t, fl.ShardObserver(0))
+	driveFig2(t, NewPipeline(Sinks{Flight: fl}))
 	rr := httptest.NewRecorder()
 	FlightHandler(fl).ServeHTTP(rr, httptest.NewRequest("GET", "/debug/rnlp/flight?format=perfetto", nil))
 	var tr struct {

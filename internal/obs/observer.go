@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/rtsync/rwrnlp/internal/core"
 )
@@ -104,61 +103,22 @@ func ShardMetric(name string, shard int) string {
 	return fmt.Sprintf("%s{shard=%d}", name, shard)
 }
 
-// pendingReq is the per-request state ProtocolObserver keeps between issue
-// and completion.
-type pendingReq struct {
-	kind        core.Kind
-	incremental bool
-	// waitStart is where the current wait began: issue time, or — for the
-	// write half of an upgradeable pair — the read segment's finish time
-	// (Sec. 3.6: the write half's acquisition bound applies to each wait
-	// separately, and the optimistic read segment is not blocking).
-	waitStart core.Time
-	entitleT  core.Time
-	satisfyT  core.Time
-	entitled  bool
-	satisfied bool
-}
-
-// ProtocolObserver converts the RSM's protocol event stream into metrics:
-// lifecycle counters, in-flight/holder gauges, and delay/length histograms.
-// It implements core.Observer and must see a request's full lifecycle
-// (attach it before issuing requests).
-//
-// The observer is safe for concurrent use, though both planes deliver events
-// serially (the simulator is single-threaded; the runtime lock observes
-// under its protocol mutex).
+// ProtocolObserver is the pipeline's metrics sink: it turns decoded
+// transitions into lifecycle counters, in-flight/holder gauges, and
+// delay/length histograms. It keeps no request state of its own — every
+// instrument is resolved once at construction, so the event path never takes
+// the registry lock — and may serve any number of pipelines recording into
+// the same registry. Its pipelines must see each request's full lifecycle
+// (attach them before issuing requests).
 type ProtocolObserver struct {
-	// Instruments are resolved once at construction so the event path never
-	// takes the registry lock.
 	issued, entitledC, satisfiedC, completedC, canceledC *Counter
 	immediate, incGrants, phRemoved, segsDone            *Counter
 	inflight, holders                                    *Gauge
 	acqRead, acqWrite, acqInc, entWait                   *Histogram
 	csRead, csWrite, queueDepth                          *Histogram
-
-	// Exemplar source (see SetExemplarSource): when set, acquisition-delay
-	// samples are tagged with the request ID and the flight recorder's most
-	// recent sequence for exShard, linking scraped tail buckets to the flight
-	// window that produced them.
-	exFlight *FlightRecorder
-	exShard  int
-
-	mu      sync.Mutex
-	pending map[core.ReqID]*pendingReq
 }
 
-// SetExemplarSource tags future acquisition-delay samples with exemplars
-// resolving into fl's ring for the given shard. For the flight sequence to
-// name the satisfaction event itself, the flight recorder must receive each
-// event before this observer does (the runtime lock's shards and the
-// simulator both order their observer lists that way). Call before events
-// flow.
-func (po *ProtocolObserver) SetExemplarSource(fl *FlightRecorder, shard int) {
-	po.exFlight, po.exShard = fl, shard
-}
-
-// NewProtocolObserver creates an observer recording into m.
+// NewProtocolObserver creates a metrics sink recording into m.
 func NewProtocolObserver(m *Metrics) *ProtocolObserver {
 	return &ProtocolObserver{
 		issued:     m.Counter(MIssued),
@@ -179,116 +139,77 @@ func NewProtocolObserver(m *Metrics) *ProtocolObserver {
 		csRead:     m.Histogram(MCSLengthRead),
 		csWrite:    m.Histogram(MCSLengthWrite),
 		queueDepth: m.Histogram(MQueueDepth),
-		pending:    map[core.ReqID]*pendingReq{},
 	}
 }
 
-// Observe implements core.Observer.
-func (po *ProtocolObserver) Observe(e core.Event) {
-	po.mu.Lock()
-	defer po.mu.Unlock()
-	switch e.Type {
+func (po *ProtocolObserver) consume(t *transition) {
+	r := t.state
+	switch t.Type {
 	case core.EvIssued:
 		po.issued.Inc()
-		po.pending[e.Req] = &pendingReq{
-			kind:        e.Kind,
-			incremental: e.Incremental,
-			waitStart:   e.T,
-			entitleT:    -1,
-			satisfyT:    -1,
-		}
 		po.inflight.Add(1)
-		// Depth of the waiting pool at each arrival, satisfied holders
-		// included: "how crowded was the system when I showed up".
-		po.queueDepth.Observe(int64(len(po.pending)))
+		// Depth of the stream's waiting pool at each arrival, satisfied
+		// holders included: "how crowded was the system when I showed up".
+		po.queueDepth.Observe(int64(t.inflight))
 
 	case core.EvEntitled:
 		po.entitledC.Inc()
-		if p := po.pending[e.Req]; p != nil {
-			p.entitled = true
-			p.entitleT = e.T
-		}
 
 	case core.EvSatisfied:
 		po.satisfiedC.Inc()
-		p := po.pending[e.Req]
-		if p == nil {
+		if r == nil {
 			return
 		}
-		p.satisfied = true
-		p.satisfyT = e.T
-		delay := int64(e.T - p.waitStart)
-		if delay == 0 {
+		if t.delay == 0 {
 			po.immediate.Inc()
 		}
-		var seq uint64
-		if po.exFlight != nil {
-			seq = po.exFlight.LastSeqOf(po.exShard)
-		}
+		// Acquisition-delay samples carry an exemplar: the request, its
+		// trace tag, and the flight sequence of this very event, linking a
+		// scraped tail bucket to the flight window that produced it.
 		var trace string
-		if e.Tag != nil {
-			trace = tagString(e.Tag)
+		if t.Tag != nil {
+			trace = tagString(t.Tag)
 		}
+		h := po.acqWrite
 		switch {
-		case p.incremental:
-			// Issue-to-full-satisfaction of an incremental request spans
-			// hold phases between grants; it is not an acquisition delay in
-			// the Theorem 1/2 sense, so it gets its own histogram.
-			po.acqInc.ObserveTraced(delay, int64(e.Req), seq, trace)
-		case p.kind == core.KindRead:
-			po.acqRead.ObserveTraced(delay, int64(e.Req), seq, trace)
-		default:
-			po.acqWrite.ObserveTraced(delay, int64(e.Req), seq, trace)
+		case r.incremental:
+			// Not an acquisition delay in the Theorem 1/2 sense (see
+			// transition.delay), so it gets its own histogram.
+			h = po.acqInc
+		case r.kind == core.KindRead:
+			h = po.acqRead
 		}
-		if p.entitled {
-			po.entWait.Observe(int64(e.T - p.entitleT))
+		h.ObserveTraced(t.delay, int64(t.Req), t.seq, trace)
+		if t.entitleWait >= 0 {
+			po.entWait.Observe(t.entitleWait)
 		}
 		po.holders.Add(1)
 
 	case core.EvGranted:
 		po.incGrants.Inc()
 
-	case core.EvCompleted:
-		po.completedC.Inc()
-		po.finishCS(e)
+	case core.EvCompleted, core.EvReadSegmentDone:
+		// A finished read segment is a completed read critical section.
+		if t.Type == core.EvCompleted {
+			po.completedC.Inc()
+		} else {
+			po.segsDone.Inc()
+		}
+		if t.cs >= 0 {
+			if r.kind == core.KindRead {
+				po.csRead.Observe(t.cs)
+			} else {
+				po.csWrite.Observe(t.cs)
+			}
+			po.holders.Add(-1)
+		}
 		po.inflight.Add(-1)
-		delete(po.pending, e.Req)
 
 	case core.EvCanceled:
 		po.canceledC.Inc()
 		po.inflight.Add(-1)
-		delete(po.pending, e.Req)
 
 	case core.EvPlaceholdersRemoved:
 		po.phRemoved.Inc()
-
-	case core.EvReadSegmentDone:
-		// The optimistic read half of an upgradeable pair finished: it is a
-		// completed read critical section, and its write-half peer — if it
-		// now upgrades — starts a fresh wait at this instant (its bound
-		// applies per wait, not from the pair's issue time).
-		po.segsDone.Inc()
-		po.finishCS(e)
-		po.inflight.Add(-1)
-		delete(po.pending, e.Req)
-		if peer := po.pending[e.Pair]; peer != nil && !peer.satisfied {
-			peer.waitStart = e.T
-		}
 	}
-}
-
-// finishCS records the critical-section length for a request that just
-// released its locks (EvCompleted or EvReadSegmentDone).
-func (po *ProtocolObserver) finishCS(e core.Event) {
-	p := po.pending[e.Req]
-	if p == nil || !p.satisfied {
-		return
-	}
-	cs := int64(e.T - p.satisfyT)
-	if p.kind == core.KindRead {
-		po.csRead.Observe(cs)
-	} else {
-		po.csWrite.Observe(cs)
-	}
-	po.holders.Add(-1)
 }

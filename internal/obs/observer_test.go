@@ -13,7 +13,7 @@ func ev(t core.Time, typ core.EventType, req core.ReqID, kind core.Kind) core.Ev
 
 func TestProtocolObserverLifecycle(t *testing.T) {
 	m := NewMetrics()
-	po := NewProtocolObserver(m)
+	po := NewPipeline(Sinks{Metrics: NewProtocolObserver(m)})
 
 	// Read req 1: issued t=0, entitled t=2, satisfied t=5, completed t=9.
 	po.Observe(ev(0, core.EvIssued, 1, core.KindRead))
@@ -63,7 +63,7 @@ func TestProtocolObserverLifecycle(t *testing.T) {
 // acquisition delay is measured per wait, not from the pair's issue time.
 func TestProtocolObserverUpgradePairReset(t *testing.T) {
 	m := NewMetrics()
-	po := NewProtocolObserver(m)
+	po := NewPipeline(Sinks{Metrics: NewProtocolObserver(m)})
 
 	pair := func(t_ core.Time, typ core.EventType, req, peer core.ReqID, kind core.Kind) core.Event {
 		e := ev(t_, typ, req, kind)
@@ -99,7 +99,7 @@ func TestProtocolObserverUpgradePairReset(t *testing.T) {
 // their own delay histogram (their span includes hold phases).
 func TestProtocolObserverIncremental(t *testing.T) {
 	m := NewMetrics()
-	po := NewProtocolObserver(m)
+	po := NewPipeline(Sinks{Metrics: NewProtocolObserver(m)})
 
 	e := ev(0, core.EvIssued, 5, core.KindWrite)
 	e.Incremental = true
@@ -125,7 +125,7 @@ func TestProtocolObserverIncremental(t *testing.T) {
 // and cross-checks the counters against the RSM's own statistics.
 func TestProtocolObserverLiveRSM(t *testing.T) {
 	m := NewMetrics()
-	po := NewProtocolObserver(m)
+	po := NewPipeline(Sinks{Metrics: NewProtocolObserver(m)})
 	rsm := core.NewRSM(core.NewSpecBuilder(3).Build(), core.Options{})
 	rsm.SetObserver(po)
 

@@ -25,10 +25,8 @@ type TimeSeries struct {
 	mu       sync.Mutex
 	samples  []Snapshot // ring, oldest first, len ≤ capacity
 	capacity int
-	maxInfl  int64 // max observed protocol_inflight (dynamic m)
-	analytic bool
-	lr, lw   int64 // analytic envelope; observed cs maxima otherwise
-	mProcs   int   // fixed m; ≤ 0 = dynamic from maxInfl
+	maxInfl  int64    // max sampled protocol_inflight (dynamic m)
+	env      Envelope // configured part of the bound-utilisation envelope
 
 	stop    chan struct{}
 	started bool
@@ -56,7 +54,7 @@ func (ts *TimeSeries) Interval() time.Duration { return ts.interval }
 func (ts *TimeSeries) SetAnalytic(lr, lw int64, m int) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	ts.analytic, ts.lr, ts.lw, ts.mProcs = true, lr, lw, m
+	ts.env = Envelope{M: m, Analytic: true, Lr: lr, Lw: lw}
 }
 
 // Start launches the periodic capture goroutine. It is a no-op if already
@@ -277,23 +275,22 @@ func (ts *TimeSeries) Query(window time.Duration) TimeSeriesReport {
 }
 
 // boundLocked computes bound utilization from the head sample and the
-// windowed histogram stats. Caller holds ts.mu.
+// windowed histogram stats. The time series sees the stream only through the
+// registry, so the observed parts of its envelope are what the registry
+// holds: the CS-length histograms' maxima and the largest in-flight gauge
+// value any sample caught. Caller holds ts.mu.
 func (ts *TimeSeries) boundLocked(head Snapshot, hists map[string]WindowStats) BoundUtilization {
-	b := BoundUtilization{Analytic: ts.analytic, Lr: ts.lr, Lw: ts.lw, M: ts.mProcs}
-	if !ts.analytic {
-		b.Lr = head.Hists[MCSLengthRead].Max
-		b.Lw = head.Hists[MCSLengthWrite].Max
+	env := ts.env.over(head.Hists[MCSLengthRead].Max, head.Hists[MCSLengthWrite].Max, int(ts.maxInfl)).alarm()
+	b := BoundUtilization{
+		Analytic:   env.Analytic,
+		Lr:         env.Lr,
+		Lw:         env.Lw,
+		M:          env.M,
+		ReadBound:  env.ReadBound(),
+		WriteBound: env.WriteBound(),
+		ReadP999:   hists[MAcqDelayRead].P999,
+		WriteP999:  hists[MAcqDelayWrite].P999,
 	}
-	if b.M <= 0 {
-		b.M = int(ts.maxInfl)
-	}
-	if b.M < 2 {
-		b.M = 2 // (m−1) ≥ 1: a solo writer still gets a finite envelope
-	}
-	b.ReadBound = b.Lr + b.Lw
-	b.WriteBound = int64(b.M-1) * (b.Lr + b.Lw)
-	b.ReadP999 = hists[MAcqDelayRead].P999
-	b.WriteP999 = hists[MAcqDelayWrite].P999
 	if b.ReadBound > 0 {
 		b.ReadUtil = float64(b.ReadP999) / float64(b.ReadBound)
 	}

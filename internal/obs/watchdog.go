@@ -10,62 +10,46 @@ import (
 	"github.com/rtsync/rwrnlp/internal/core"
 )
 
-// Watchdog fires when a request has been waiting longer than its Theorem 1/2
-// envelope times a configurable slack — a liveness alarm, complementing the
-// BoundMonitor (which verdicts only requests that DO get satisfied; a
-// stranded request never reaches it). On firing it captures a StallReport:
-// the stalled request, how long it waited versus its bound, and optionally a
-// flight-recorder dump plus a goroutine profile, so the stall can be
-// diagnosed post hoc.
+// Watchdog is the pipeline's liveness sink: it fires when a request has been
+// waiting longer than its Theorem 1/2 envelope times a configurable slack,
+// complementing the BoundMonitor (which verdicts only requests that DO get
+// satisfied; a stranded request never reaches it). On firing it captures a
+// StallReport: the stalled request, how long it waited versus its bound, and
+// optionally a flight-recorder dump plus a goroutine profile, so the stall
+// can be diagnosed post hoc.
 //
 // Envelope: like the BoundMonitor, the watchdog runs in observed-envelope
-// mode by default (L^r_max/L^w_max are the largest critical sections seen so
-// far; no checks fire until at least one CS completed) or in analytic mode
-// via SetAnalytic. A read's envelope is L^r+L^w (Theorem 1), a write's
-// (m−1)(L^r+L^w) (Theorem 2); m is the configured processor count, or — when
-// zero — the maximum number of concurrently incomplete requests observed,
-// which upper-bounds the paper's m for a system of pinned jobs.
+// mode by default (no checks fire until at least one critical section
+// completed) or in analytic mode via SetAnalytic; m is the configured
+// processor count, or — when zero — the maximum concurrency its pipeline has
+// observed (see Envelope).
 //
-// Checks run on every observed event against that event's time, and via
+// Checks run on every transition against that event's time, and via
 // Poll(now) for callers with their own clock (the runtime lock's tick plane,
 // wall-clock timers). Each request fires at most once. Incremental requests
 // are exempt (their span includes hold phases, Sec. 3.7); the write half of
-// an upgradeable pair restarts its clock at EvReadSegmentDone (Sec. 3.6).
+// an upgradeable pair is timed per wait (Sec. 3.6, see reqState.waitStart).
 //
-// The watchdog implements core.Observer; the OnStall callback is invoked
-// without internal locks held, so it may call back into the watchdog (but
-// must not call into the RSM, per the Observer contract).
+// The watchdog scans its pipeline's request table and keeps only its firings;
+// those are guarded by a mutex taken when a request fires or a report is
+// read, so Firings and Reports are safe from any goroutine. The OnStall
+// callback is invoked without that lock held, so it may call back into the
+// watchdog (but must not call into the RSM, per the Observer contract).
 type Watchdog struct {
-	mu sync.Mutex
-
-	m        int
-	dynM     bool // m tracks max observed concurrency
-	slack    float64
-	analytic bool
-	lr, lw   int64 // analytic envelope
-
-	obsLr, obsLw int64 // observed per-kind max CS length
+	env    Envelope  // configuration: M (0 = dynamic), and Lr/Lw if analytic
+	stream *Pipeline // set by NewPipeline; the table and observed envelope
+	slack  float64
 
 	flight    *FlightRecorder
 	goroutine bool
 	onStall   func(StallReport)
 	keep      int
 
-	pending  map[core.ReqID]*wdPending
-	inflight int
-	now      core.Time // high-water mark of observed event times
+	now core.Time // high-water mark of observed event and Poll times
 
+	mu      sync.Mutex
 	fired   int64
 	reports []StallReport
-}
-
-type wdPending struct {
-	kind        core.Kind
-	incremental bool
-	tag         any
-	waitStart   core.Time
-	satisfied   bool
-	fired       bool
 }
 
 // WatchdogConfig configures a Watchdog. The zero value is usable: observed
@@ -92,18 +76,16 @@ type WatchdogConfig struct {
 // DefaultWatchdogSlack is the envelope multiplier used when none is given.
 const DefaultWatchdogSlack = 4.0
 
-// NewWatchdog creates a watchdog; attach it to the event stream with
-// core.MultiObserver alongside other observers.
+// NewWatchdog creates a watchdog; attach it to an event stream as the
+// Watchdog sink of a Pipeline.
 func NewWatchdog(cfg WatchdogConfig) *Watchdog {
 	w := &Watchdog{
-		m:         cfg.M,
-		dynM:      cfg.M <= 0,
+		env:       Envelope{M: cfg.M},
 		slack:     cfg.Slack,
 		flight:    cfg.Flight,
 		goroutine: cfg.GoroutineProfile,
 		onStall:   cfg.OnStall,
 		keep:      cfg.Keep,
-		pending:   map[core.ReqID]*wdPending{},
 	}
 	if w.slack <= 0 {
 		w.slack = DefaultWatchdogSlack
@@ -117,9 +99,7 @@ func NewWatchdog(cfg WatchdogConfig) *Watchdog {
 // SetAnalytic switches to a fixed a-priori envelope (see BoundMonitor).
 // Call before any events are observed.
 func (w *Watchdog) SetAnalytic(lr, lw int64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.analytic, w.lr, w.lw = true, lr, lw
+	w.env.Analytic, w.env.Lr, w.env.Lw = true, lr, lw
 }
 
 // StallReport describes one watchdog firing.
@@ -158,122 +138,57 @@ func (r StallReport) String() string {
 	return b.String()
 }
 
-// Observe implements core.Observer.
-func (w *Watchdog) Observe(e core.Event) {
-	w.mu.Lock()
-	switch e.Type {
-	case core.EvIssued:
-		w.pending[e.Req] = &wdPending{
-			kind:        e.Kind,
-			incremental: e.Incremental,
-			tag:         e.Tag,
-			waitStart:   e.T,
-		}
-		w.inflight++
-		if w.dynM && w.inflight > w.m {
-			w.m = w.inflight
-		}
-
-	case core.EvSatisfied:
-		if p := w.pending[e.Req]; p != nil {
-			p.satisfied = true
-			p.waitStart = e.T // now holding: reuse as CS start
-		}
-
-	case core.EvCompleted, core.EvReadSegmentDone:
-		if p := w.pending[e.Req]; p != nil {
-			if p.satisfied && !p.incremental {
-				cs := int64(e.T - p.waitStart)
-				if p.kind == core.KindRead {
-					if cs > w.obsLr {
-						w.obsLr = cs
-					}
-				} else if cs > w.obsLw {
-					w.obsLw = cs
-				}
-			}
-			delete(w.pending, e.Req)
-			w.inflight--
-		}
-		if e.Type == core.EvReadSegmentDone {
-			if peer := w.pending[e.Pair]; peer != nil && !peer.satisfied {
-				peer.waitStart = e.T
-			}
-		}
-
-	case core.EvCanceled:
-		if _, ok := w.pending[e.Req]; ok {
-			delete(w.pending, e.Req)
-			w.inflight--
-		}
-	}
-	if e.T > w.now {
-		w.now = e.T
-	}
-	fired := w.check(w.now)
-	w.mu.Unlock()
-	w.deliver(fired)
+func (w *Watchdog) consume(t *transition) {
+	w.deliver(w.check(t.T))
 }
 
 // Poll checks all pending requests against an external clock (shard ticks or
 // wall time, same units as the observed events) and returns the number of
-// new firings. now values behind the event high-water mark are ignored.
+// new firings. now values behind the event high-water mark are ignored. Like
+// event delivery itself, Poll must be serialised with its pipeline.
 func (w *Watchdog) Poll(now core.Time) int {
-	w.mu.Lock()
-	if now > w.now {
-		w.now = now
-	}
-	fired := w.check(w.now)
-	w.mu.Unlock()
+	fired := w.check(now)
 	w.deliver(fired)
 	return len(fired)
 }
 
-// check scans pending requests against now. Caller holds w.mu; returns the
-// reports to deliver after unlock.
+// check advances the clock to now and scans the pipeline's pending requests
+// against it, returning the reports to deliver.
 func (w *Watchdog) check(now core.Time) []StallReport {
-	lr, lw := w.lr, w.lw
-	if !w.analytic {
-		lr, lw = w.obsLr, w.obsLw
-		if lr+lw == 0 {
-			return nil // envelope not warmed up yet
-		}
+	if w.stream == nil {
+		return nil
+	}
+	w.now = max(w.now, now)
+	env := w.stream.observed(w.env).alarm()
+	if !env.Analytic && env.Lr+env.Lw == 0 {
+		return nil // envelope not warmed up yet
 	}
 	var out []StallReport
-	for id, p := range w.pending {
-		if p.satisfied || p.fired || p.incremental {
+	for id, p := range w.stream.table {
+		if p.satisfied || p.stalled || p.incremental {
 			continue
 		}
-		m := w.m
-		if m < 2 {
-			m = 2 // (m−1) ≥ 1: a solo writer still gets a finite envelope
-		}
-		env := lr + lw
-		if p.kind == core.KindWrite {
-			env = int64(m-1) * (lr + lw)
-		}
-		bound := int64(float64(env) * w.slack)
-		waited := int64(now - p.waitStart)
+		bound := int64(float64(env.Bound(p.kind)) * w.slack)
+		waited := int64(w.now - p.waitStart)
 		if waited <= bound {
 			continue
 		}
-		p.fired = true
-		w.fired++
+		p.stalled = true
 		r := StallReport{
 			Req:       id,
 			Kind:      p.kind,
 			WaitStart: p.waitStart,
-			Now:       now,
+			Now:       w.now,
 			Waited:    waited,
 			Bound:     bound,
-			Analytic:  w.analytic,
-			Lr:        lr,
-			Lw:        lw,
-			M:         m,
+			Analytic:  env.Analytic,
+			Lr:        env.Lr,
+			Lw:        env.Lw,
+			M:         env.M,
 			Slack:     w.slack,
 		}
 		if p.tag != nil {
-			r.Tag = fmt.Sprint(p.tag)
+			r.Tag = tagString(p.tag)
 		}
 		if w.flight != nil {
 			d := w.flight.Dump()
@@ -286,16 +201,21 @@ func (w *Watchdog) check(now core.Time) []StallReport {
 			}
 			r.GoroutineProfile = buf.Bytes()
 		}
-		w.reports = append(w.reports, r)
+		out = append(out, r)
+	}
+	if len(out) > 0 {
+		w.mu.Lock()
+		w.fired += int64(len(out))
+		w.reports = append(w.reports, out...)
 		if len(w.reports) > w.keep {
 			w.reports = w.reports[len(w.reports)-w.keep:]
 		}
-		out = append(out, r)
+		w.mu.Unlock()
 	}
 	return out
 }
 
-// deliver invokes the callback outside the lock.
+// deliver invokes the callback, no lock held.
 func (w *Watchdog) deliver(reports []StallReport) {
 	if w.onStall == nil {
 		return

@@ -24,7 +24,7 @@ func TestWatchdogFiresOnChaosStall(t *testing.T) {
 		OnStall:          func(r StallReport) { fired = append(fired, r) },
 	})
 	rsm := core.NewRSM(core.NewSpecBuilder(2).Build(), core.Options{ChaosDeafFreshReads: true})
-	rsm.SetObserver(core.MultiObserver(fl.ShardObserver(0), wd))
+	rsm.SetObserver(NewPipeline(Sinks{Flight: fl, Watchdog: wd}))
 
 	// Warm the observed envelope: a write CS of length 4 on resource 1.
 	w1, err := rsm.Issue(1, nil, []core.ResourceID{1}, nil)
@@ -89,7 +89,7 @@ func TestWatchdogFiresOnChaosStall(t *testing.T) {
 func TestWatchdogNoFalsePositive(t *testing.T) {
 	wd := NewWatchdog(WatchdogConfig{M: 2, Slack: 1})
 	rsm := core.NewRSM(core.NewSpecBuilder(1).Build(), core.Options{})
-	rsm.SetObserver(wd)
+	rsm.SetObserver(NewPipeline(Sinks{Watchdog: wd}))
 
 	// Alternating writers with CS length 10: each waits at most 10, and the
 	// write envelope is (m−1)(Lr+Lw) = 10.
@@ -121,7 +121,7 @@ func TestWatchdogNoFalsePositive(t *testing.T) {
 func TestWatchdogObservedEnvelopeWarmup(t *testing.T) {
 	wd := NewWatchdog(WatchdogConfig{M: 2, Slack: 1})
 	rsm := core.NewRSM(core.NewSpecBuilder(1).Build(), core.Options{ChaosDeafFreshReads: true})
-	rsm.SetObserver(wd)
+	rsm.SetObserver(NewPipeline(Sinks{Watchdog: wd}))
 	if _, err := rsm.Issue(1, []core.ResourceID{0}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestWatchdogAnalytic(t *testing.T) {
 	wd := NewWatchdog(WatchdogConfig{M: 2, Slack: 1})
 	wd.SetAnalytic(3, 4) // read bound = 7
 	rsm := core.NewRSM(core.NewSpecBuilder(1).Build(), core.Options{ChaosDeafFreshReads: true})
-	rsm.SetObserver(wd)
+	rsm.SetObserver(NewPipeline(Sinks{Watchdog: wd}))
 	rd, err := rsm.Issue(1, []core.ResourceID{0}, nil, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -28,8 +28,8 @@ import (
 // whose cost grew with ring occupancy (it once scanned all 4096 chains, and
 // took a third of the daemon's throughput) shows here and in no other pair.
 //
-// Gated by `make net-overhead` (see NET_THRESHOLD and NET_OBS_THRESHOLD in
-// the Makefile).
+// Bounded by the `net` and `net-obs` rows of `make pair-gates`
+// (cmd/benchjson/gates.go).
 func BenchmarkAcquireRelease(b *testing.B) {
 	ctx := context.Background()
 

@@ -98,9 +98,9 @@ type Config struct {
 	// trace.Recorder, for post-hoc checking with trace.Check).
 	Trace core.Observer
 
-	// Observers receive every protocol event alongside Trace — attach
-	// metrics (obs.ProtocolObserver), bound monitors, or exporters here.
-	// All sinks are composed with core.MultiObserver.
+	// Observers receive every protocol event alongside Trace — attach an
+	// obs.Pipeline (metrics, bound monitor, attribution, …) or exporters
+	// here. All of them are composed with core.MultiObserver.
 	Observers []core.Observer
 }
 

@@ -21,6 +21,11 @@ type lifecycleForm struct {
 	// fail makes one attempt whose issuance fails inside the lifecycle and
 	// returns its error, leaving nothing held.
 	fail func(t *testing.T, p *Protocol) error
+
+	// reject, where the form has one, makes an attempt the RSM refuses on its
+	// arguments — unlike fail, with the shard otherwise healthy, so the
+	// refusal itself must leave the accounting balanced.
+	reject func(p *Protocol) error
 }
 
 func must(t *testing.T, err error) {
@@ -139,6 +144,10 @@ var lifecycleForms = []lifecycleForm{
 			restore := breakClock(p.shards[0])
 			_, err := p.AcquireIncremental(bg, nil, []ResourceID{0, 1}, nil, []ResourceID{0})
 			restore()
+			return err
+		},
+		reject: func(p *Protocol) error {
+			_, err := p.AcquireIncremental(bg, nil, []ResourceID{0}, nil, []ResourceID{1})
 			return err
 		},
 	},
@@ -285,8 +294,8 @@ func checkBalanced(t *testing.T, p *Protocol) {
 
 // TestRequestLifecycleBalance drives every blocking entry point through every
 // exit path of the shared request lifecycle — granted at once, granted after
-// parking, cancelled while parked, cancellation racing the grant, and a
-// failed issuance — with both fast-path planes on and WithSelfCheck, and
+// parking, cancelled while parked, cancellation racing the grant, a failed
+// issuance, and (for the form that validates one) a rejected ask — with both fast-path planes on and WithSelfCheck, and
 // after each asserts the gate, intent and waiter accounting is back to zero.
 func TestRequestLifecycleBalance(t *testing.T) {
 	races := 200
@@ -368,6 +377,15 @@ func TestRequestLifecycleBalance(t *testing.T) {
 			}
 			t.Logf("%d grants, %d cancellations", grants, races-grants)
 		})
+		if f.reject != nil {
+			t.Run(f.name+"/rejected-ask", func(t *testing.T) {
+				p := fresh(t)
+				if err := f.reject(p); err == nil {
+					t.Fatal("ask outside the potential set accepted")
+				}
+				checkBalanced(t, p)
+			})
+		}
 		t.Run(f.name+"/issue-error", func(t *testing.T) {
 			p := fresh(t)
 			err := f.fail(t, p)

@@ -85,8 +85,8 @@ func TestShardedFastPathObservabilityConsistency(t *testing.T) {
 	s := p.Metrics().Snapshot()
 	count := func(name string) int64 { return s.Counters[name] }
 
-	// Aggregate protocol series: the per-shard ProtocolObserver instances
-	// all record into the shared registry, so issued/satisfied/completed
+	// Aggregate protocol series: every shard's pipeline records into the
+	// shared registry, so issued/satisfied/completed
 	// must balance across the whole protocol.
 	issued, satisfied, completed := count(obs.MIssued), count(obs.MSatisfied), count(obs.MCompleted)
 	if issued == 0 {

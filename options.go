@@ -90,8 +90,8 @@ func WithSelfCheck() Option {
 }
 
 // WithMetrics enables the observability layer (internal/obs): protocol event
-// counters and tick-valued histograms via per-shard obs.ProtocolObservers
-// recording into one shared registry, per-shard acquire/contention counters
+// counters and tick-valued histograms, fed by every shard's pipeline into
+// one shared registry, per-shard acquire/contention counters
 // (shard-labeled names), plus wall-clock acquisition/blocking/CS histograms
 // recorded directly on the acquisition path. Retrieve with Protocol.Metrics;
 // serve with Protocol.DebugMux. When disabled the only cost on the

@@ -106,9 +106,11 @@ type Protocol struct {
 	spec   *Spec
 	shards []*shard
 
-	// Observability (nil unless WithMetrics): the wall* histograms are
-	// resolved once so the acquisition path never touches the registry.
+	// Observability (nil unless WithMetrics): protoObs is the metrics sink of
+	// every shard's pipeline; the wall* histograms are resolved once so the
+	// acquisition path never touches the registry.
 	metrics   *obs.Metrics
+	protoObs  *obs.ProtocolObserver
 	slowPath  *obs.Counter
 	wallAcqR  *obs.Histogram
 	wallAcqW  *obs.Histogram
@@ -184,6 +186,7 @@ func New(spec *Spec, opts ...Option) *Protocol {
 	p := &Protocol{cfg: cfg, spec: spec}
 	if cfg.metrics {
 		p.metrics = obs.NewMetrics()
+		p.protoObs = obs.NewProtocolObserver(p.metrics)
 		p.slowPath = p.metrics.Counter(obs.MSlowPath)
 		p.wallAcqR = p.metrics.Histogram(obs.MWallAcqReadNS)
 		p.wallAcqW = p.metrics.Histogram(obs.MWallAcqWriteNS)
@@ -332,7 +335,7 @@ func (p *Protocol) DebugMux() http.Handler {
 func (p *Protocol) SetTracer(o core.Observer) {
 	for _, s := range p.shards {
 		s.mu.Lock()
-		s.tracer = o
+		s.pipeline().Raw = o
 		s.unlock()
 	}
 }
@@ -342,7 +345,8 @@ func (p *Protocol) SetTracer(o core.Observer) {
 func (p *Protocol) AddObserver(o core.Observer) {
 	for _, s := range p.shards {
 		s.mu.Lock()
-		s.tracer = core.MultiObserver(s.tracer, o)
+		pl := s.pipeline()
+		pl.Raw = core.MultiObserver(pl.Raw, o)
 		s.unlock()
 	}
 }

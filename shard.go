@@ -46,7 +46,6 @@ type shard struct {
 	rsm     *core.RSM
 	clock   core.Time
 	waiters map[core.ReqID]*waiter
-	tracer  core.Observer
 	signals []*waiter // satisfied during the current critical section
 
 	ops atomic.Pointer[issueOp] // combining stack; nil = empty
@@ -90,11 +89,16 @@ type shard struct {
 	rsmLive        atomic.Int64
 	rsmIntent      atomic.Int64
 
-	// Observability (nil unless metrics): the ProtocolObserver instance is
-	// per shard (its pending map sees only this shard's strided IDs) but
-	// records into the Protocol's shared registry, so the protocol_* series
-	// aggregate across shards; the shard_* instruments carry a shard label.
-	metricsObs                              core.Observer
+	// pipe is the shard's whole observability plane: every RSM event goes to
+	// it in one call. Nil — one nil check per event — unless an observability
+	// option was set or a tracer installed (see pipeline). Its request table
+	// sees only this shard's strided IDs; the metrics sink, attributor and
+	// flight recorder behind it are the Protocol's, so the protocol_* series
+	// aggregate across shards, while the watchdog is the shard's own (tick
+	// clocks never mix).
+	pipe *obs.Pipeline
+
+	// Per-shard instruments (nil unless metrics), carrying a shard label.
 	acquires, releases, contended, combined *obs.Counter
 	combineWait                             *obs.Histogram
 	parkWakeC, parkDirectC, parkSpurC       *obs.Counter
@@ -103,14 +107,6 @@ type shard struct {
 	fastWHitC, fastWMissC                   *obs.Counter
 	fastWRevokedC, fastWMigratedC           *obs.Counter
 	fastWStormC                             *obs.Counter
-
-	// Attribution/black-box hooks (each nil unless its option was set):
-	// flight and attr are the Protocol-wide instances, wd is this shard's
-	// watchdog (one per shard so tick clocks never mix). All three cost one
-	// nil check per event when disabled.
-	flight *obs.FlightRecorder
-	attr   *obs.Attributor
-	wd     *obs.Watchdog
 }
 
 func newShard(p *Protocol, idx, n int) *shard {
@@ -126,11 +122,6 @@ func newShard(p *Protocol, idx, n int) *shard {
 		s.initFastPath()
 	}
 	if p.metrics != nil {
-		po := obs.NewProtocolObserver(p.metrics)
-		if p.flight != nil {
-			po.SetExemplarSource(p.flight, idx)
-		}
-		s.metricsObs = po
 		s.acquires = p.metrics.Counter(obs.ShardMetric(obs.MShardAcquires, idx))
 		s.releases = p.metrics.Counter(obs.ShardMetric(obs.MShardReleases, idx))
 		s.contended = p.metrics.Counter(obs.ShardMetric(obs.MShardContended, idx))
@@ -153,10 +144,12 @@ func newShard(p *Protocol, idx, n int) *shard {
 			s.fastWStormC = p.metrics.Counter(obs.ShardMetric(obs.MFastWriteStorm, idx))
 		}
 	}
-	s.flight = p.flight
-	s.attr = p.attr
+	sinks := obs.Sinks{Flight: p.flight, Shard: idx, Metrics: p.protoObs, Attribution: p.attr}
 	if p.wdogs != nil {
-		s.wd = p.wdogs[idx]
+		sinks.Watchdog = p.wdogs[idx]
+	}
+	if sinks != (obs.Sinks{Shard: idx}) { // some option attached a sink
+		s.pipe = obs.NewPipeline(sinks)
 	}
 	s.rsm.SetObserver(core.ObserverFunc(s.observe))
 	return s
@@ -180,24 +173,18 @@ func (s *shard) observe(e core.Event) {
 			s.signals = append(s.signals, w)
 		}
 	}
-	// The flight recorder runs before the metrics observer so that when the
-	// observer tags an acquisition-delay exemplar with LastSeqOf, the
-	// sequence names exactly this event's record.
-	if s.flight != nil {
-		s.flight.Record(s.idx, e)
+	if s.pipe != nil {
+		s.pipe.Observe(e)
 	}
-	if s.metricsObs != nil {
-		s.metricsObs.Observe(e)
+}
+
+// pipeline returns the shard's pipeline, creating an empty one for a tracer
+// to ride on if no observability option built it. Caller holds s.mu.
+func (s *shard) pipeline() *obs.Pipeline {
+	if s.pipe == nil {
+		s.pipe = obs.NewPipeline(obs.Sinks{})
 	}
-	if s.attr != nil {
-		s.attr.Observe(e)
-	}
-	if s.wd != nil {
-		s.wd.Observe(e)
-	}
-	if s.tracer != nil {
-		s.tracer.Observe(e)
-	}
+	return s.pipe
 }
 
 func (s *shard) selfCheck() {
