@@ -2,14 +2,15 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-json bench-check fuzz fuzz-smoke mccheck experiments schedstudy examples fmt vet staticcheck api api-check ci obs-race telemetry-race park-race pair-gates bench-harness-test rnlpd-integration cluster-integration soak clean
+.PHONY: all build test test-short race cover bench fuzz fuzz-smoke mccheck experiments schedstudy examples fmt vet staticcheck api api-check ci obs-race telemetry-race park-race check-run-lists pair-gates bench-harness-test rnlpd-integration cluster-integration soak outputs clean
 
 all: build vet test
 
 # What .github/workflows/ci.yml runs: full build/vet/test, the exported-API
-# surface gate, the race detector across the whole module, a fuzz smoke pass
-# on the RSM invocation fuzzer and the wire decoder, and a bounded-depth
-# model-checking gate
+# surface gate, the nested rnlpbench module's vet and tests, the race detector
+# across the whole module, the targeted race suites (and the check that their
+# -run lists still name tests), a fuzz smoke pass on the RSM invocation fuzzer
+# and the wire decoder, and a bounded-depth model-checking gate
 # (every mc preset, both placeholder modes; non-zero exit on any violation).
 # staticcheck is skipped gracefully on machines where it is not installed
 # (it cannot be fetched in hermetic environments) but is mandatory when CI=1
@@ -21,7 +22,9 @@ ci:
 	$(MAKE) staticcheck
 	$(MAKE) api-check
 	$(GO) test ./...
+	$(MAKE) bench-harness-test
 	$(GO) test -race -short ./...
+	$(MAKE) check-run-lists
 	$(MAKE) obs-race
 	$(MAKE) telemetry-race
 	$(MAKE) park-race
@@ -54,6 +57,35 @@ obs-race:
 telemetry-race:
 	$(GO) test -race -count=1 -run 'TestExemplarLoopEndToEnd|TestTelemetryEndpointsConcurrentWithWorkload' .
 	$(GO) test -race -count=1 ./cmd/rnlptop
+
+# `go test -run` passes silently when its regex matches nothing, so a renamed
+# or deleted test would turn a targeted gate (park-race, obs-race,
+# telemetry-race, soak, the two integration targets, the nightly race soak)
+# into a no-op. Take every `-run <list>` command of this file and of the
+# workflows, resolve each name of the list with `go test -list` in the package
+# the command names, and fail on a name that matches no test. (The `-run=^$$`
+# of the bench and fuzz targets selects nothing on purpose; spelled with `=`,
+# it is not picked up. This recipe drops itself from the scan by its name.)
+check-run-lists:
+	@sed -e ':a' -e '/\\$$/{' -e 'N' -e 's/\\\n//' -e 'ba' -e '}' Makefile .github/workflows/*.yml | \
+	grep -v -e '^[[:space:]]*#' -e check-run-lists | grep -E ' test .* -run ' | { \
+	set -f; lists=0; names=0; \
+	while read -r line; do \
+		pkg=; re=; prev=; \
+		for tok in $$line; do \
+			if [ "$$prev" = "-run" ]; then re=$$tok; fi; \
+			case $$tok in .|./*) if [ -z "$$pkg" ]; then pkg=$$tok; fi;; esac; \
+			prev=$$tok; \
+		done; \
+		have=$$($(GO) test -list . $$pkg | grep '^Test') || { echo "check-run-lists: cannot list tests of '$$pkg' for: $$line" >&2; exit 1; }; \
+		for name in $$(echo "$$re" | tr -d "'" | tr '|' ' '); do \
+			echo "$$have" | grep -Eq -- "$$name" || { echo "check-run-lists: $$name (package $$pkg) matches no test: $$line" >&2; exit 1; }; \
+			names=$$((names + 1)); \
+		done; \
+		lists=$$((lists + 1)); \
+	done; \
+	[ $$lists -gt 0 ] || { echo "check-run-lists: found no -run list to check" >&2; exit 1; }; \
+	echo "check-run-lists: $$names names in $$lists -run lists resolve"; }
 
 # Same-run ablation pair gates: every overhead or speed-up bound CI enforces
 # (flight recorder, metrics plane, the whole observability pipeline, writer
@@ -138,28 +170,6 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Machine-readable performance snapshot: benchmark name → ns/op, B/op,
-# allocs/op, written to BENCH_<date>.json for cross-commit comparison.
-bench-json:
-	$(GO) test -bench=. -benchmem -run=^$$ ./... | $(GO) run ./cmd/benchjson -o BENCH_$$(date +%Y%m%d).json
-
-# Perf-regression gate: re-run the benchmark suite (short benchtime) and
-# compare against the newest committed BENCH_*.json snapshot. Fails if any
-# benchmark present in both slowed down by more than BENCH_THRESHOLD percent
-# ns/op; benchmarks that exist on only one side are reported but never fail
-# the gate. Override the baseline or threshold per-invocation:
-#   make bench-check BENCH_BASELINE=BENCH_20260101.json BENCH_THRESHOLD=25
-# Set BENCH_KEEP=1 to leave bench_current.json behind (CI uploads it as an
-# artifact for offline comparison).
-BENCH_BASELINE ?= $(shell ls BENCH_*.json 2>/dev/null | sort | tail -n 1)
-BENCH_THRESHOLD ?= 15
-bench-check:
-	@test -n "$(BENCH_BASELINE)" || { echo "bench-check: no BENCH_*.json baseline in repo root"; exit 1; }
-	@echo "bench-check: baseline $(BENCH_BASELINE), threshold $(BENCH_THRESHOLD)%"
-	$(GO) test -bench=. -benchmem -benchtime=0.3s -count=3 -run='^$$' ./... | $(GO) run ./cmd/benchjson -o bench_current.json
-	$(GO) run ./cmd/benchjson compare -threshold $(BENCH_THRESHOLD) $(BENCH_BASELINE) bench_current.json
-	@if [ -z "$(BENCH_KEEP)" ]; then rm -f bench_current.json; fi
-
 fuzz:
 	$(GO) test -fuzz=FuzzRSMInvocations -fuzztime 60s ./internal/core
 
@@ -198,3 +208,9 @@ vet:
 outputs:
 	$(GO) test ./... 2>&1 | tee test_output.txt
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
+
+# Remove what the gates, rnlpbench and `outputs` leave behind (the set
+# .gitignore lists).
+clean:
+	rm -rf .bench_build benchmark/out
+	rm -f *_pair.json *.flight.json *.trace.json mccheck-*-replay*.txt test_output.txt bench_output.txt

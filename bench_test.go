@@ -561,28 +561,22 @@ func BenchmarkRuntimeScaling(b *testing.B) {
 // round-robin to components, alternating component-wide reads and writes.
 // Unsharded, every request funnels through one engine whose stabilization
 // scans ALL in-flight requests under one mutex; sharded, each component's
-// engine sees only its own 1/k share. The "single" variants force
-// WithoutSharding for a like-for-like baseline.
+// engine sees only its own 1/k share. The "single" variants add one
+// write-only declaration over everything — the same read sharing in one
+// component, hence one engine — for a like-for-like baseline.
 func BenchmarkShardScaling(b *testing.B) {
 	for _, comps := range []int{1, 2, 4, 8} {
 		for _, par := range []int{1, 4, 8, 16} {
 			for _, mode := range []string{"sharded", "single"} {
 				comps, par, mode := comps, par, mode
 				b.Run(fmt.Sprintf("comps=%d/par=%d/%s", comps, par, mode), func(b *testing.B) {
-					spec := rwrnlp.NewSpecBuilder(2 * comps)
-					for i := 0; i < comps; i++ {
-						a, c := rwrnlp.ResourceID(2*i), rwrnlp.ResourceID(2*i+1)
-						if err := spec.DeclareRequest([]rwrnlp.ResourceID{a, c}, nil); err != nil {
-							b.Fatal(err)
-						}
-					}
-					var opts []rwrnlp.Option
+					spec, want := componentSpec(b, comps), comps
 					if mode == "single" {
-						opts = append(opts, rwrnlp.WithoutSharding())
+						spec, want = oneComponentSpec(b, comps), 1
 					}
-					p := rwrnlp.New(spec.Build(), opts...)
-					if mode == "sharded" && p.NumShards() != comps {
-						b.Fatalf("NumShards = %d, want %d", p.NumShards(), comps)
+					p := rwrnlp.New(spec)
+					if p.NumShards() != want {
+						b.Fatalf("NumShards = %d, want %d", p.NumShards(), want)
 					}
 					shared := make([]int64, 2*comps)
 					var nextG atomic.Int64

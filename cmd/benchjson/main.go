@@ -1,30 +1,18 @@
-// Command benchjson converts `go test -bench` text output (on stdin) into a
-// machine-readable JSON snapshot: benchmark name → ns/op, B/op, allocs/op.
-// Lines that are not benchmark results are ignored, so the full test output
-// can be piped through unfiltered. Used by `make bench-json` to record
-// BENCH_<date>.json performance snapshots.
-//
-// A second mode compares two snapshots and fails on throughput regressions:
-//
-//	benchjson compare [-threshold 15] [-match regex] old.json new.json
-//
-// exits 1 if any benchmark present in both files slowed down by more than
-// threshold percent (ns/op). Used by `make bench-check` and the CI perf
-// gate.
-//
-// A third mode runs the same-run ablation pair gates — immune to cross-run
-// machine drift — from the one table in gates.go:
+// Command benchjson runs the repository's same-run ablation pair gates —
+// immune to cross-run machine drift — from the one table in gates.go:
 //
 //	benchjson gates
 //
 // samples each row's benchmarks, fails (exit 1) if any row's variant exceeds
 // its base by more than the row's threshold percent (ns/op), and leaves
 // <name>_pair.json behind for every failing row. Used by `make pair-gates`.
+// It is one of the repo's two performance instruments; the other is the
+// end-to-end acceptance benchmark (benchmark/, BENCHMARK.json).
 //
 // Pair-gate protocol: five separate `go test -count=1` invocations of the
 // row's benchmarks, merged by MINIMUM ns/op, so each side of the pair is the
 // min of five interleaved samples. This matters: a single-run pair on a
-// shared machine routinely inverts (a 2026-08-06 snapshot recorded the
+// shared machine routinely inverts (a 2026-08-06 single run recorded the
 // observed variant at 467 ns/op against a 577 ns/op uninstrumented baseline
 // — a -19% "overhead" that was pure scheduler noise), and one `-count=5`
 // invocation measures all of one side's samples back-to-back before the
@@ -38,11 +26,9 @@ package main
 import (
 	"bufio"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
-	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -58,36 +44,11 @@ type Result struct {
 }
 
 func main() {
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "compare":
-			os.Exit(compareMain(os.Args[2:]))
-		case "gates":
-			os.Exit(gatesMain())
-		}
-	}
-	convertMain()
-}
-
-func convertMain() {
-	out := flag.String("o", "", "output file (default stdout)")
-	flag.Parse()
-
-	results, err := parseBench(os.Stdin)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
+	if len(os.Args) != 2 || os.Args[1] != "gates" {
+		fmt.Fprintln(os.Stderr, "usage: benchjson gates")
 		os.Exit(2)
 	}
-	buf := marshalSnapshot(results)
-	if *out == "" {
-		os.Stdout.Write(buf)
-		return
-	}
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(2)
-	}
-	fmt.Fprintf(os.Stderr, "benchjson: %d benchmarks written to %s\n", len(results), *out)
+	os.Exit(gatesMain())
 }
 
 // parseBench reads `go test -bench` output and returns its measurements,
@@ -116,7 +77,7 @@ func parseBench(in io.Reader) ([]Result, error) {
 	return mergeDuplicates(results), scan.Err()
 }
 
-// marshalSnapshot renders a snapshot file.
+// marshalSnapshot renders the <name>_pair.json a failing row leaves behind.
 func marshalSnapshot(results []Result) []byte {
 	buf, err := json.MarshalIndent(results, "", "  ")
 	if err != nil {
@@ -130,10 +91,10 @@ func marshalSnapshot(results []Result) []byte {
 // keeps the minimum ns/op, B/op, and allocs/op observed. Scheduler and
 // co-tenant interference only ever slow a benchmark down, so the minimum
 // is the robust estimator of its true cost — using it on both sides of a
-// `compare` makes the regression gate far less sensitive to machine noise
-// than a mean would be. The output is sorted by name, and with duplicates
-// merged the sort is a total order, so two conversions of equivalent
-// input produce byte-identical JSON.
+// pair makes the gate far less sensitive to machine noise than a mean would
+// be. The output is sorted by name, and with duplicates merged the sort is a
+// total order, so two conversions of equivalent input produce byte-identical
+// JSON.
 func mergeDuplicates(in []Result) []Result {
 	byName := make(map[string]*Result, len(in))
 	order := []Result{}
@@ -183,93 +144,8 @@ func parseLine(line string) (Result, bool) {
 	return r, seen
 }
 
-// compareMain implements `benchjson compare old.json new.json`: exit 0 if no
-// benchmark regressed past the threshold, 1 on regression, 2 on usage or
-// I/O errors. Benchmarks only present in one file are reported but never
-// fail the gate (CI machines differ; the gate targets same-machine pairs).
-func compareMain(argv []string) int {
-	fs := flag.NewFlagSet("benchjson compare", flag.ExitOnError)
-	threshold := fs.Float64("threshold", 15, "max allowed ns/op slowdown in percent")
-	match := fs.String("match", "", "only compare benchmarks whose name matches this regexp")
-	fs.Parse(argv)
-	if fs.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchjson compare [-threshold pct] [-match regex] old.json new.json")
-		return 2
-	}
-	var re *regexp.Regexp
-	if *match != "" {
-		var err error
-		if re, err = regexp.Compile(*match); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson compare:", err)
-			return 2
-		}
-	}
-	old, err := loadSnapshot(fs.Arg(0))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson compare:", err)
-		return 2
-	}
-	cur, err := loadSnapshot(fs.Arg(1))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson compare:", err)
-		return 2
-	}
-
-	names := make([]string, 0, len(old))
-	for name := range old {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	regressions, compared := 0, 0
-	for _, name := range names {
-		if re != nil && !re.MatchString(name) {
-			continue
-		}
-		o := old[name]
-		n, ok := cur[name]
-		if !ok {
-			fmt.Printf("MISSING  %-60s (in old snapshot only)\n", name)
-			continue
-		}
-		if o.NsPerOp <= 0 {
-			continue
-		}
-		compared++
-		delta := (n.NsPerOp - o.NsPerOp) / o.NsPerOp * 100
-		status := "ok"
-		if delta > *threshold {
-			status = "REGRESSED"
-			regressions++
-		}
-		fmt.Printf("%-9s %-60s %12.1f -> %12.1f ns/op  (%+.1f%%)\n", status, name, o.NsPerOp, n.NsPerOp, delta)
-	}
-	for name := range cur {
-		if _, ok := old[name]; !ok && (re == nil || re.MatchString(name)) {
-			fmt.Printf("NEW      %-60s %12.1f ns/op\n", name, cur[name].NsPerOp)
-		}
-	}
-	fmt.Printf("compared %d benchmarks, %d regression(s) past %+.1f%%\n", compared, regressions, *threshold)
-	if regressions > 0 {
-		return 1
-	}
-	return 0
-}
-
-func loadSnapshot(path string) (map[string]Result, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var list []Result
-	if err := json.Unmarshal(buf, &list); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return byName(list), nil
-}
-
-// byName indexes a snapshot. Later entries win, matching mergeDuplicates'
-// "one entry per name" contract for snapshots written by this tool.
+// byName indexes a sampling. Later entries win; mergeDuplicates has already
+// left one entry per name.
 func byName(list []Result) map[string]Result {
 	m := make(map[string]Result, len(list))
 	for _, r := range list {

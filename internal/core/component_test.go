@@ -80,6 +80,37 @@ func TestSpecNoDeclarationsAllSingletons(t *testing.T) {
 	}
 }
 
+// One write-only declaration over every resource is how a system asks for a
+// single total order (the runtime lock builds one shard per component, and
+// locks/mutexrnlp relies on this): it joins the resources into one component
+// and contributes no read sharing, so no write expands.
+func TestSpecWriteOnlyDeclarationOneComponentNoSharing(t *testing.T) {
+	const q = 5
+	b := NewSpecBuilder(q)
+	all := make([]ResourceID, q)
+	for i := range all {
+		all[i] = ResourceID(i)
+	}
+	if err := b.DeclareRequest(nil, all); err != nil {
+		t.Fatal(err)
+	}
+	s := b.Build()
+	if got := s.NumComponents(); got != 1 {
+		t.Fatalf("NumComponents = %d, want 1", got)
+	}
+	for _, a := range all {
+		if got := s.Component(a); got != 0 {
+			t.Errorf("Component(%d) = %d, want 0", a, got)
+		}
+		if got := s.ReadSet(a); !got.Equal(NewResourceSet(a)) {
+			t.Errorf("S(%d) = %v, want {%d}", a, got, a)
+		}
+	}
+	if got := s.Expand(NewResourceSet(0, 3)); !got.Equal(NewResourceSet(0, 3)) {
+		t.Errorf("Expand({0,3}) = %v, want {0, 3}", got)
+	}
+}
+
 func TestSpecUnknownResourceSentinel(t *testing.T) {
 	b := NewSpecBuilder(2)
 	if err := b.DeclareRequest([]ResourceID{0, 5}, nil); !errors.Is(err, ErrUnknownResource) {

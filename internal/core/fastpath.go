@@ -24,10 +24,11 @@ package core
 //
 // Correctness (see IMPLEMENTATION.md, "Reader fast path"): if WriterFree(a)
 // holds, a fresh all-read request R over resources of a's component
-// satisfies Rule R1 immediately — conflictsActive(R) scans for entitled or
-// satisfied write-capable requests on R's resources, and with no KindWrite
-// request incomplete in the component there is none, so freshPass satisfies
-// R in the Issue invocation itself with zero acquisition delay.
+// satisfies Rule R1 immediately — the rule's blocker scan (nextBlocker) looks
+// for entitled or satisfied write-capable requests on R's resources, and with
+// no KindWrite request incomplete in the component there is none, so
+// freshPass satisfies R in the Issue invocation itself with zero acquisition
+// delay.
 func (m *RSM) WriterFree(a ResourceID) bool {
 	if a < 0 || int(a) >= m.spec.NumResources() {
 		return false
@@ -60,11 +61,12 @@ func (m *RSM) WriterFree(a ResourceID) bool {
 // ComponentIdle(a) holds, a fresh request R confined to a's component is
 // satisfied by Rules R1/W1 in the Issue invocation itself — every queue of
 // the component is empty, so R (or its placeholders) heads every write queue
-// it enqueues in, and conflictsActive(R) finds no entitled or satisfied
-// request to conflict with. The predicate deliberately counts all-read
-// requests too: a write issued behind an incomplete read is NOT satisfied
-// immediately (phase alternation), so the writer plane needs the stronger
-// emptiness condition where the reader plane gets away with WriterFree.
+// it enqueues in, and the blocker scan (nextBlocker) finds no entitled or
+// satisfied request to conflict with. The predicate deliberately counts
+// all-read requests too: a write issued behind an incomplete read is NOT
+// satisfied immediately (phase alternation), so the writer plane needs the
+// stronger emptiness condition where the reader plane gets away with
+// WriterFree.
 func (m *RSM) ComponentIdle(a ResourceID) bool {
 	if a < 0 || int(a) >= m.spec.NumResources() {
 		return false

@@ -201,26 +201,49 @@ func (m *RSM) emit(t Time, typ EventType, r *request, rs ResourceSet) {
 	m.obs.Observe(e)
 }
 
-// blockerIDs lists the incomplete requests r is waiting behind, in timestamp
-// order: the conflicting satisfied requests and — unless holdersOnly — the
-// conflicting entitled ones too. This is the blocking condition of Rules
-// R1/W1 (holdersOnly=false, at issuance) and the blocking set B(R, t) of
-// Rules R2/W2 (holdersOnly=true, at entitlement). Only computed when an
-// observer is attached, so the unobserved invocation path never pays for it.
-func (m *RSM) blockerIDs(r *request, holdersOnly bool) []ReqID {
-	var ids []ReqID
-	for _, o := range m.incomplete {
+// nextBlocker is the one scan behind every blocking decision and every wait
+// edge: it returns the index of the first incomplete request at or after
+// from — m.incomplete is in timestamp order — that blocks r, or -1. A request
+// blocks r when it conflicts with r and is "holding", of which the rules know
+// two senses:
+//
+//   - holdersOnly=false, the blocking condition of Rules R1/W1 (at issuance):
+//     every entitled or satisfied request;
+//   - holdersOnly=true, the blocking set B(R, t) of Rules R2/W2 (at
+//     entitlement): every satisfied request, and an entitled incremental one
+//     through the locks it has been granted so far.
+//
+// Conflicts are evaluated against the blocker's actual lock-relevant sets
+// (conflictsWith), so a partially granted incremental request blocks exactly
+// through what it pertains to.
+func (m *RSM) nextBlocker(r *request, holdersOnly bool, from int) int {
+	for i := from; i < len(m.incomplete); i++ {
+		o := m.incomplete[i]
 		if o == r {
 			continue
 		}
 		holding := o.state == StateSatisfied ||
 			(o.state == StateEntitled && (!holdersOnly || (o.incremental && !o.granted.Empty())))
-		if !holding {
-			continue
+		if holding && r.conflictsWith(o) {
+			return i
 		}
-		if r.conflictsWith(o) {
-			ids = append(ids, o.id)
-		}
+	}
+	return -1
+}
+
+// blocked reports whether any request blocks r in the given sense.
+func (m *RSM) blocked(r *request, holdersOnly bool) bool {
+	return m.nextBlocker(r, holdersOnly, 0) >= 0
+}
+
+// blockerIDs lists the requests r is waiting behind, in timestamp order: the
+// wait edges an Event reports, produced by the same scan that decides the
+// rules. Only computed when an observer is attached, so the unobserved
+// invocation path never pays for it.
+func (m *RSM) blockerIDs(r *request, holdersOnly bool) []ReqID {
+	var ids []ReqID
+	for i := m.nextBlocker(r, holdersOnly, 0); i >= 0; i = m.nextBlocker(r, holdersOnly, i+1) {
+		ids = append(ids, m.incomplete[i].id)
 	}
 	return ids
 }
@@ -490,7 +513,7 @@ func (m *RSM) freshPass(t Time) bool {
 		if r.kind == KindWrite && !m.opt.ChaosSkipWQHeadCheck && !m.headEverywhere(r) {
 			continue
 		}
-		if !m.conflictsActive(r) {
+		if !m.blocked(r, false) {
 			m.satisfy(t, r, true)
 			changed = true
 		}
@@ -515,7 +538,7 @@ func (m *RSM) lateReadPass(t Time) bool {
 		if r.state != StateWaiting || r.kind != KindRead {
 			continue
 		}
-		if !m.conflictsActive(r) {
+		if !m.blocked(r, false) {
 			m.satisfy(t, r, true)
 			changed = true
 		}
@@ -538,20 +561,6 @@ func (m *RSM) headEverywhere(r *request) bool {
 	return ok
 }
 
-// conflictsActive reports whether r conflicts with any entitled or satisfied
-// incomplete request (the blocking condition of Rules R1/W1).
-func (m *RSM) conflictsActive(r *request) bool {
-	for _, o := range m.incomplete {
-		if o == r || (o.state != StateEntitled && o.state != StateSatisfied) {
-			continue
-		}
-		if r.conflictsWith(o) {
-			return true
-		}
-	}
-	return false
-}
-
 // satisfyPass applies Rules R2/W2: an entitled request is satisfied at the
 // first instant its blocking set B(R, t) is empty.
 func (m *RSM) satisfyPass(t Time) bool {
@@ -560,39 +569,12 @@ func (m *RSM) satisfyPass(t Time) bool {
 		if r.state != StateEntitled || r.incremental {
 			continue
 		}
-		if !m.blocked(r) {
+		if !m.blocked(r, true) {
 			m.satisfy(t, r, false)
 			changed = true
 		}
 	}
 	return changed
-}
-
-// blocked reports whether B(r, t) ≠ ∅: some satisfied request conflicts
-// with r. (Incremental partial holders count through their granted locks.)
-func (m *RSM) blocked(r *request) bool {
-	return m.someBlocker(r, func(*request) bool { return true })
-}
-
-// someBlocker reports whether any satisfied conflicting request matching
-// keep blocks r. Conflicts are evaluated against the blocker's *actual*
-// lock-relevant sets so that partially granted incremental requests block
-// exactly through what they pertain to.
-func (m *RSM) someBlocker(r *request, keep func(*request) bool) bool {
-	for _, o := range m.incomplete {
-		if o == r || !keep(o) {
-			continue
-		}
-		holding := o.state == StateSatisfied ||
-			(o.state == StateEntitled && o.incremental && !o.granted.Empty())
-		if !holding {
-			continue
-		}
-		if r.conflictsWith(o) {
-			return true
-		}
-	}
-	return false
 }
 
 // satisfy transitions r to Satisfied: dequeues it everywhere (Rule G2),

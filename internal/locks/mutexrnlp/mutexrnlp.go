@@ -25,16 +25,24 @@ type Lock struct {
 
 // New creates a mutex RNLP for q resources.
 func New(q int) *Lock {
-	// No read sharing exists when every request is exclusive, so the spec
-	// needs no declarations. Sharding is disabled: with nothing declared
-	// every resource is its own component, and the engine's multi-component
-	// slow path (per-component sequential locking) is NOT the mutex RNLP's
-	// single-timestamp atomic acquisition. Both fast-path planes are off:
-	// this package exists to exhibit the RSM's timestamp-FIFO satisfaction
-	// order, and the writer fast path would serve uncontended requests
-	// outside the RSM entirely.
-	return &Lock{p: rwrnlp.New(core.NewSpecBuilder(q).Build(),
-		rwrnlp.WithoutSharding(), rwrnlp.WithFastPath(rwrnlp.FastPathConfig{}))}
+	// One write-only declaration over every resource: it contributes no read
+	// sharing (none exists when every request is exclusive) but makes the
+	// resources one component, so every request — whatever its footprint —
+	// is one atomic acquisition in one timestamp order. Undeclared, each
+	// resource would be its own component, and the engine's multi-component
+	// slow path (per-component sequential locking) is NOT the mutex RNLP.
+	// Both fast-path planes are off: this package exists to exhibit the RSM's
+	// timestamp-FIFO satisfaction order, and the writer fast path would serve
+	// uncontended requests outside the RSM entirely.
+	b := core.NewSpecBuilder(q)
+	all := make([]core.ResourceID, q)
+	for i := range all {
+		all[i] = core.ResourceID(i)
+	}
+	if err := b.DeclareRequest(nil, all); err != nil {
+		panic(err) // unreachable: every ID is in [0, q)
+	}
+	return &Lock{p: rwrnlp.New(b.Build(), rwrnlp.WithFastPath(rwrnlp.FastPathConfig{}))}
 }
 
 // Token identifies a held acquisition.

@@ -12,19 +12,17 @@ type config struct {
 	spin         bool
 	selfCheck    bool
 	metrics      bool
-	sharding     bool
 	fast         FastPathConfig
 
 	flightDepth int                 // per-shard flight ring slots; 0 disables
 	watchdog    *obs.WatchdogConfig // nil disables the stall watchdog
 	attrTopK    int                 // 0 disables causal attribution
-	profLabels  bool                // pprof labels + runtime/trace regions
 	tsInterval  time.Duration       // time-series capture interval; 0 disables
 	tsCapacity  int                 // time-series ring capacity; 0 = default
 }
 
 func defaultConfig() config {
-	return config{sharding: true, fast: FastPathConfig{Readers: true, Writers: true}}
+	return config{fast: FastPathConfig{Readers: true, Writers: true}}
 }
 
 // FastPathConfig is the unified configuration of the lock-free fast paths
@@ -98,16 +96,6 @@ func WithSelfCheck() Option {
 // acquisition path is a nil check.
 func WithMetrics() Option {
 	return optionFunc(func(c *config) { c.metrics = true })
-}
-
-// WithoutSharding forces a single RSM + mutex for the whole resource system
-// instead of one per connected component. Use it when requests routinely
-// span undeclared resource combinations (so the multi-component slow path
-// would dominate) or when the exact v1 single-timeline semantics are needed
-// — e.g. a mutex-RNLP built over undeclared resources, where per-resource
-// sequential locking would not be the RNLP.
-func WithoutSharding() Option {
-	return optionFunc(func(c *config) { c.sharding = false })
 }
 
 // WithFastPath replaces the Protocol's fast-path configuration wholesale
@@ -187,17 +175,4 @@ func WithTimeSeries(interval time.Duration, capacity int) Option {
 		c.tsInterval = interval
 		c.tsCapacity = capacity
 	})
-}
-
-// WithProfilingLabels tags the acquisition path for the Go profiler and
-// execution tracer: Acquire runs under pprof labels (rnlp_mode=read|write,
-// plus rnlp_shard and rnlp_path=fast|slow once routing is known), so CPU
-// profiles of a contended system attribute spin/wait time per shard and
-// path; and when runtime/trace is active, each critical section becomes a
-// "rwrnlp.cs" trace region from acquisition to Release. Trace regions
-// require Release to be called from the acquiring goroutine (the
-// runtime/trace region contract); tokens handed across goroutines should
-// not use this option while tracing.
-func WithProfilingLabels() Option {
-	return optionFunc(func(c *config) { c.profLabels = true })
 }

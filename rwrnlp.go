@@ -30,13 +30,16 @@
 // therefore runs one RSM behind one mutex per component, so acquisitions on
 // disjoint components proceed independently; Rule G4's total order is only
 // needed among requests that can interact, so the protocol's guarantees
-// (Theorems 1 and 2) hold per component exactly as in the single-RSM build.
+// (Theorems 1 and 2) hold per component exactly as under one global RSM.
 // Every declared request lies within one component by construction and takes
 // this fast path. An undeclared request spanning several components is still
 // served, by a slow path that acquires each component's slice in ascending
 // component order (deadlock-free: all hold-wait edges point up) — but such a
 // request is satisfied piecewise, not atomically, and inherits no FIFO bound
-// across components. WithoutSharding restores the single global RSM.
+// across components. The shards are exactly the Spec's components: a system
+// that needs one total order over all of its resources declares a request
+// over all of them (a write-only declaration adds no read sharing), which
+// makes them one component and therefore one shard.
 //
 // Real-time caveat: the Go runtime scheduler does not expose real-time
 // priorities, so this package preserves the protocol's ordering semantics
@@ -53,10 +56,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime/pprof"
-	"runtime/trace"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -94,8 +94,8 @@ var (
 
 	// ErrCrossComponent reports an incremental or upgradeable request whose
 	// resources span multiple declared components. Those forms need one
-	// atomic timestamp in one total order; span a single component (declare
-	// the footprint) or construct the Protocol with WithoutSharding.
+	// atomic timestamp in one total order: declare the footprint, so that it
+	// lies within a single component.
 	ErrCrossComponent = errors.New("rwrnlp: request spans multiple resource components")
 )
 
@@ -167,9 +167,9 @@ type (
 	TimeSeriesReport = obs.TimeSeriesReport
 )
 
-// New creates a Protocol for the given resource system. With no options the
-// protocol runs sharded (one RSM per declared resource component), blocking
-// waiters, no placeholders, no metrics; see the With… options.
+// New creates a Protocol for the given resource system: one RSM shard per
+// declared resource component, always. With no options waiters block, there
+// are no placeholders and no metrics; see the With… options.
 func New(spec *Spec, opts ...Option) *Protocol {
 	cfg := defaultConfig()
 	for _, o := range opts {
@@ -177,12 +177,7 @@ func New(spec *Spec, opts ...Option) *Protocol {
 			o.apply(&cfg)
 		}
 	}
-	n := 1
-	if cfg.sharding {
-		if n = spec.NumComponents(); n < 1 {
-			n = 1
-		}
-	}
+	n := spec.NumComponents()
 	p := &Protocol{cfg: cfg, spec: spec}
 	if cfg.metrics {
 		p.metrics = obs.NewMetrics()
@@ -246,17 +241,12 @@ func (p *Protocol) Close() error {
 	return nil
 }
 
-// NumShards reports how many independent RSM shards the protocol runs — the
-// number of declared resource components, or 1 under WithoutSharding.
+// NumShards reports how many independent RSM shards the protocol runs: the
+// number of declared resource components, Spec.NumComponents.
 func (p *Protocol) NumShards() int { return len(p.shards) }
 
 // shardOf returns the shard owning resource a.
-func (p *Protocol) shardOf(a ResourceID) *shard {
-	if len(p.shards) == 1 {
-		return p.shards[0]
-	}
-	return p.shards[p.spec.Component(a)]
-}
+func (p *Protocol) shardOf(a ResourceID) *shard { return p.shards[p.spec.Component(a)] }
 
 // Metrics returns the protocol's metrics registry, or nil when metrics are
 // disabled. Event-derived histograms are in logical protocol ticks (one tick
@@ -326,8 +316,8 @@ func (p *Protocol) DebugMux() http.Handler {
 // SetTracer installs a secondary observer receiving every protocol event —
 // feed it a trace.Recorder to machine-check an execution against the
 // paper's properties. Must be called before any acquisition; it replaces
-// any observers previously set with SetTracer or AddObserver (the metrics
-// observers enabled by WithMetrics are unaffected). With several shards the
+// any tracer previously set (the sinks enabled by WithMetrics and the other
+// observability options are unaffected). With several shards the
 // tracer sees each shard's events in order but the shards interleave; the
 // trace checker is insensitive to that, since cross-shard requests never
 // conflict. (The argument type lives in an internal package; this hook is
@@ -336,17 +326,6 @@ func (p *Protocol) SetTracer(o core.Observer) {
 	for _, s := range p.shards {
 		s.mu.Lock()
 		s.pipeline().Raw = o
-		s.unlock()
-	}
-}
-
-// AddObserver attaches an additional observer alongside any existing ones
-// (fan-out via core.MultiObserver). Must be called before any acquisition.
-func (p *Protocol) AddObserver(o core.Observer) {
-	for _, s := range p.shards {
-		s.mu.Lock()
-		pl := s.pipeline()
-		pl.Raw = core.MultiObserver(pl.Raw, o)
 		s.unlock()
 	}
 }
@@ -409,10 +388,6 @@ type Token struct {
 	// fastW identifies a writer-fast-path acquisition (fastW != 0): the
 	// claim sequence to CAS off the shard's writer word.
 	fastW uint64
-	// region is the critical section's runtime/trace region (nil unless
-	// WithProfilingLabels and tracing were active at acquisition); Release
-	// ends it.
-	region *trace.Region
 }
 
 // part is one component's slice of a request footprint.
@@ -442,9 +417,6 @@ func (p *Protocol) split(read, write []ResourceID) ([]part, error) {
 	}
 	if len(read)+len(write) == 0 {
 		return nil, ErrEmptyRequest
-	}
-	if len(p.shards) == 1 {
-		return []part{{s: p.shards[0], read: read, write: write}}, nil
 	}
 	first, multi := -1, false
 	for _, ids := range [2][]ResourceID{read, write} {
@@ -557,32 +529,6 @@ func (p *Protocol) BlockerTags(c BlockChain) map[uint64]string {
 // component order, piecewise rather than atomically — see the package
 // documentation.
 func (p *Protocol) Acquire(ctx context.Context, read, write []ResourceID) (Token, error) {
-	if !p.cfg.profLabels {
-		return p.acquire(ctx, read, write)
-	}
-	c := ctx
-	if c == nil {
-		c = context.Background()
-	}
-	mode := "read"
-	if len(write) > 0 {
-		mode = "write"
-	}
-	var tok Token
-	var err error
-	pprof.Do(c, pprof.Labels("rnlp_mode", mode), func(c context.Context) {
-		tok, err = p.acquire(c, read, write)
-	})
-	if err == nil && trace.IsEnabled() {
-		// The critical section becomes a trace region, ended by Release (which
-		// must then run on this goroutine — see WithProfilingLabels).
-		tok.region = trace.StartRegion(c, "rwrnlp.cs")
-	}
-	return tok, err
-}
-
-// acquire is the unlabeled acquisition path behind Acquire.
-func (p *Protocol) acquire(ctx context.Context, read, write []ResourceID) (Token, error) {
 	start := p.nowNS()
 	parts, err := p.split(read, write)
 	if err != nil {
@@ -604,16 +550,6 @@ func (p *Protocol) acquire(ctx context.Context, read, write []ResourceID) (Token
 		if hit {
 			p.finishAcquire(&tok, start, 0, isWrite)
 			return tok, nil
-		}
-		if p.cfg.profLabels {
-			// A fast hit returned above already (its samples carry the outer
-			// rnlp_mode label); what reaches here is the RSM path.
-			path := "slow"
-			if fastMissed {
-				path = "fast-miss"
-			}
-			pprof.SetGoroutineLabels(pprof.WithLabels(ctx,
-				pprof.Labels("rnlp_shard", strconv.Itoa(s.idx), "rnlp_path", path)))
 		}
 	} else if p.slowPath != nil {
 		p.slowPath.Inc()
@@ -676,9 +612,6 @@ func (p *Protocol) Write(ctx context.Context, resources ...ResourceID) (Token, e
 func (p *Protocol) Release(t Token) error {
 	if t.s == nil {
 		return ErrAlreadyReleased
-	}
-	if t.region != nil {
-		t.region.End()
 	}
 	if t.acqNS != 0 && p.wallCS != nil {
 		p.wallCS.Observe(time.Now().UnixNano() - t.acqNS)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/rtsync/rwrnlp"
+	"github.com/rtsync/rwrnlp/internal/locks/mutexrnlp"
 	"github.com/rtsync/rwrnlp/internal/obs"
 )
 
@@ -29,6 +30,27 @@ func componentSpec(t testing.TB, k int) *rwrnlp.Spec {
 		t.Fatalf("NumComponents = %d, want %d", got, k)
 	}
 	return spec
+}
+
+// oneComponentSpec is componentSpec(k) plus one write-only declaration over
+// all 2k resources: the same read sharing, joined into a single component —
+// how a system asks for one total order over everything.
+func oneComponentSpec(t testing.TB, k int) *rwrnlp.Spec {
+	t.Helper()
+	b := rwrnlp.NewSpecBuilder(2 * k)
+	all := make([]rwrnlp.ResourceID, 2*k)
+	for i := range all {
+		all[i] = rwrnlp.ResourceID(i)
+	}
+	for i := 0; i < k; i++ {
+		if err := b.DeclareRequest(all[2*i:2*i+2], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.DeclareRequest(nil, all); err != nil {
+		t.Fatal(err)
+	}
+	return b.Build()
 }
 
 func TestDoubleReleaseToken(t *testing.T) {
@@ -273,18 +295,73 @@ func TestShardIndependenceStress(t *testing.T) {
 	}
 }
 
-// WithoutSharding collapses the protocol to a single engine regardless of the
-// component structure; requests behave identically.
+// A spec that declares one request over everything collapses the protocol to
+// a single engine whatever its read groups; requests behave identically.
 func TestWithoutSharding(t *testing.T) {
-	p := rwrnlp.New(componentSpec(t, 4), rwrnlp.WithoutSharding())
+	p := rwrnlp.New(oneComponentSpec(t, 4), rwrnlp.WithMetrics())
 	if got := p.NumShards(); got != 1 {
 		t.Fatalf("NumShards = %d, want 1", got)
 	}
-	tok, err := p.Read(bgv2, 0, 2, 4, 6) // spans components: fine on one engine
+	tok, err := p.Read(bgv2, 0, 2, 4, 6) // spans four read groups: fine on one engine
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Release(tok); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Metrics().Snapshot().Counters[obs.MSlowPath]; got != 0 {
+		t.Errorf("protocol_slow_path = %d: the footprint was served piecewise", got)
+	}
+}
+
+// The shards are the spec's components, for every shape of spec the suite
+// uses; and the mutex RNLP, which needs one timestamp order over resources
+// nothing else links, gets it from its spec: a footprint spanning what would
+// be singleton components is one RSM request, not one slice per resource.
+func TestShardsAreComponents(t *testing.T) {
+	type decl struct{ read, write []rwrnlp.ResourceID }
+	build := func(q int, decls ...decl) *rwrnlp.Spec {
+		b := rwrnlp.NewSpecBuilder(q)
+		for _, d := range decls {
+			if err := b.DeclareRequest(d.read, d.write); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b.Build()
+	}
+	ids := func(v ...rwrnlp.ResourceID) []rwrnlp.ResourceID { return v }
+	for _, tc := range []struct {
+		name string
+		spec *rwrnlp.Spec
+		want int
+	}{
+		{"no resources", build(0), 0},
+		{"nothing declared", build(4), 4},
+		{"one read group and two singletons", build(4, decl{read: ids(0, 1)}), 3},
+		{"k read groups", componentSpec(t, 4), 4},
+		{"read groups chained by a write", build(4, decl{read: ids(0, 1)}, decl{read: ids(2, 3)}, decl{write: ids(1, 2)}), 1},
+		{"mixed request", build(3, decl{read: ids(0, 1), write: ids(2)}), 1},
+		{"k read groups under one write-only declaration", oneComponentSpec(t, 4), 1},
+	} {
+		if got := tc.spec.NumComponents(); got != tc.want {
+			t.Errorf("%s: NumComponents = %d, want %d", tc.name, got, tc.want)
+		}
+		for _, opts := range [][]rwrnlp.Option{nil, {rwrnlp.WithFastPath(rwrnlp.FastPathConfig{}), rwrnlp.WithMetrics(), rwrnlp.WithFlightRecorder(16)}} {
+			if got := rwrnlp.New(tc.spec, opts...).NumShards(); got != tc.want {
+				t.Errorf("%s: NumShards = %d, want NumComponents = %d", tc.name, got, tc.want)
+			}
+		}
+	}
+
+	l := mutexrnlp.New(6)
+	tok, err := l.Acquire(0, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Stats(); st.Issued != 1 || st.Satisfied != 1 {
+		t.Errorf("3-resource mutex RNLP footprint: Issued=%d Satisfied=%d, want one request", st.Issued, st.Satisfied)
+	}
+	if err := l.Release(tok); err != nil {
 		t.Fatal(err)
 	}
 }
