@@ -2,16 +2,17 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench fuzz fuzz-smoke mccheck experiments schedstudy examples fmt vet staticcheck api api-check ci obs-race telemetry-race park-race check-run-lists pair-gates bench-harness-test rnlpd-integration cluster-integration soak outputs clean
+.PHONY: all build test test-short race cover bench fuzz fuzz-smoke mccheck experiments schedstudy examples fmt vet staticcheck api api-check ci obs-race telemetry-race park-race alloc-guards check-run-lists pair-gates bench-harness-test rnlpd-integration cluster-integration soak outputs clean
 
 all: build vet test
 
 # What .github/workflows/ci.yml runs: full build/vet/test, the exported-API
 # surface gate, the nested rnlpbench module's vet and tests, the race detector
-# across the whole module, the targeted race suites (and the check that their
-# -run lists still name tests), a fuzz smoke pass on the RSM invocation fuzzer
-# and the wire decoder, and a bounded-depth model-checking gate
-# (every mc preset, both placeholder modes; non-zero exit on any violation).
+# across the whole module, the allocation guards without it, the targeted race
+# suites (and the check that every -run list still names tests), a fuzz smoke
+# pass on the RSM invocation fuzzer and the wire decoder, and a bounded-depth
+# model-checking gate (every mc preset, both placeholder modes; non-zero exit
+# on any violation).
 # staticcheck is skipped gracefully on machines where it is not installed
 # (it cannot be fetched in hermetic environments) but is mandatory when CI=1
 # — the workflow installs a pinned version, so a missing binary there is a
@@ -24,6 +25,7 @@ ci:
 	$(GO) test ./...
 	$(MAKE) bench-harness-test
 	$(GO) test -race -short ./...
+	$(MAKE) alloc-guards
 	$(MAKE) check-run-lists
 	$(MAKE) obs-race
 	$(MAKE) telemetry-race
@@ -37,7 +39,16 @@ ci:
 # bound, and the request-lifecycle balance table (every blocking entry point
 # through every exit path, 200 cancel-vs-signal races each).
 park-race:
-	$(GO) test -race -count=1 -run 'TestWaiterStateMachine|TestParkWakeupAccounting|TestParkSignalCancelStorm|TestParkSignalToWakeLatency|TestRequestLifecycleBalance' .
+	$(GO) test -race -count=1 -run 'TestWaiterStateMachine|TestParkWakeupAccounting|TestLateTracerSeesWholeStream|TestParkSignalCancelStorm|TestParkSignalToWakeLatency|TestRequestLifecycleBalance' .
+
+# The allocation guards, explicitly and without the race detector (whose
+# runtime allocates, so they skip under it): a warmed-up RSM with no observer
+# allocates nothing per invocation — idle, behind a queue, handing off — and
+# neither does an uncontended acquire/release pair of the runtime lock on its
+# slow or fast path. Someone who runs only the race legs still runs these.
+alloc-guards:
+	$(GO) test -count=1 -run 'TestAllocsIdlePair|TestAllocsPairBehindQueue|TestAllocsHandOff' ./internal/core
+	$(GO) test -count=1 -run 'TestAllocsSlowPathPair|TestAllocsFastPathPair' .
 
 # Observability plane under the race detector, explicitly and un-shortened:
 # the pipeline's parent-commit lifecycle goldens (TestLifecycleGolden) and the
@@ -59,9 +70,9 @@ telemetry-race:
 	$(GO) test -race -count=1 ./cmd/rnlptop
 
 # `go test -run` passes silently when its regex matches nothing, so a renamed
-# or deleted test would turn a targeted gate (park-race, obs-race,
-# telemetry-race, soak, the two integration targets, the nightly race soak)
-# into a no-op. Take every `-run <list>` command of this file and of the
+# or deleted test would turn a targeted gate (park-race, alloc-guards,
+# obs-race, telemetry-race, soak, the two integration targets, the nightly race
+# soak) into a no-op. Take every `-run <list>` command of this file and of the
 # workflows, resolve each name of the list with `go test -list` in the package
 # the command names, and fail on a name that matches no test. (The `-run=^$$`
 # of the bench and fuzz targets selects nothing on purpose; spelled with `=`,

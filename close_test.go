@@ -120,9 +120,13 @@ func TestCloseStopsTimeSeries(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Stop waits for the goroutine, so no polling needed after Close returns.
-	if n := goroutinesWith(capture); n > before {
-		t.Fatalf("%d capture goroutine(s) still running after Close", n-before)
+	// Stop waits for the goroutine's wg.Done, which is its last statement but
+	// not its last instant: give the runtime a moment to retire it.
+	for deadline := time.Now().Add(3 * time.Second); goroutinesWith(capture) > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d capture goroutine(s) still running after Close", goroutinesWith(capture)-before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 	// Close is idempotent; the ring stays queryable.
 	if err := p.Close(); err != nil {

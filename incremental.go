@@ -40,7 +40,8 @@ func (inc *Incremental) exitGate() {
 // chosen order, which is only deadlock-free under one component's total
 // order.
 func (p *Protocol) AcquireIncremental(ctx context.Context, read, write, initialRead, initialWrite []ResourceID) (*Incremental, error) {
-	parts, err := p.split(read, write)
+	var one [1]part
+	parts, err := p.split(one[:0], read, write)
 	if err != nil {
 		return nil, err
 	}

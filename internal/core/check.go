@@ -48,7 +48,7 @@ func (m *RSM) CheckInvariants() []string {
 			fail("I1: resource %d write locked by %d with %d readers", a, rs.writeHolder.id, len(rs.readHolders))
 		}
 		for i := 1; i < len(rs.wq); i++ {
-			if rs.wq[i-1].r.seq > rs.wq[i].r.seq {
+			if rs.wq[i-1].r.id > rs.wq[i].r.id {
 				fail("I4: WQ(%d) out of timestamp order", a)
 			}
 		}
@@ -66,7 +66,7 @@ func (m *RSM) CheckInvariants() []string {
 
 	var earliestWrite *request
 	for _, r := range m.incomplete {
-		if r.kind == KindWrite && (earliestWrite == nil || r.seq < earliestWrite.seq) {
+		if r.kind == KindWrite && (earliestWrite == nil || r.id < earliestWrite.id) {
 			earliestWrite = r
 		}
 		holding := !r.granted.Empty()
@@ -106,7 +106,7 @@ func (m *RSM) CheckInvariants() []string {
 
 	if earliestWrite != nil && earliestWrite.state == StateWaiting {
 		exempt := false
-		earliestWrite.pertainSet().ForEach(func(a ResourceID) bool {
+		earliestWrite.pertain.ForEach(func(a ResourceID) bool {
 			for _, rr := range m.res[a].rq {
 				if rr.state == StateEntitled {
 					exempt = true
@@ -129,8 +129,8 @@ func (m *RSM) CheckInvariants() []string {
 // conflicting locks, based on what each actually holds and in which mode.
 func holderConflict(a, b *request) bool {
 	aw := a.granted.Clone()
-	aw.IntersectWith(a.writeLockSet())
+	aw.IntersectWith(a.wlock)
 	bw := b.granted.Clone()
-	bw.IntersectWith(b.writeLockSet())
+	bw.IntersectWith(b.wlock)
 	return aw.Intersects(b.granted) || bw.Intersects(a.granted)
 }

@@ -57,6 +57,12 @@ func (e EventType) String() string {
 
 // Event is one protocol transition. Events within a single invocation share
 // the invocation's Time and are emitted in deterministic order.
+//
+// Events exist only for an attached Observer: an RSM without one builds none
+// (see SetObserver). An Event is the observer's to keep. Its three sets are
+// snapshots taken at the transition — values of their own, which no later
+// invocation changes, even once the request's record serves another request —
+// and Blockers is allocated for this event alone.
 type Event struct {
 	T         Time
 	Type      EventType
@@ -90,7 +96,8 @@ type Event struct {
 	// Nil on every other event type. Consumers (obs.Attributor, the flight
 	// recorder) chain these edges into causal blocking attributions: reader ←
 	// entitled writer ← read-phase holders is the paper's Fig. 2 situation.
-	// The slice is freshly allocated per event and owned by the consumer.
+	// The slice is freshly allocated per event and owned by the consumer
+	// (obs.Pipeline keeps it as the request's wait edges).
 	Blockers []ReqID
 }
 
@@ -98,8 +105,11 @@ func (e Event) String() string {
 	return fmt.Sprintf("t=%d %s req=%d (%s) %s", e.T, e.Type, e.Req, e.Kind, e.Resources)
 }
 
-// Observer receives every protocol transition. Implementations must not call
-// back into the RSM. A nil observer disables reporting.
+// Observer receives every protocol transition, as an Event built for it.
+// Implementations must not call back into the RSM. A nil observer disables
+// reporting and with it the building of events; an embedder that only needs
+// to wake the requests an invocation unblocked takes RSM.SetWakeHook, which
+// costs no Event.
 type Observer interface {
 	Observe(Event)
 }

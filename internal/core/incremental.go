@@ -43,7 +43,7 @@ func (m *RSM) IssueIncremental(t Time, read, write, initialRead, initialWrite []
 	r.want = want
 	r.askT = t
 	m.enqueue(r)
-	m.emit(t, EvIssued, r, r.pertainSet())
+	m.emit(t, EvIssued, r, r.pertain)
 	m.stabilize(t)
 	return r.id, nil
 }
@@ -126,21 +126,21 @@ func (m *RSM) Granted(id ReqID, resources []ResourceID) (bool, error) {
 // free of conflicting locks (Sec. 3.7).
 func (m *RSM) grantPass(t Time) bool {
 	changed := false
-	for _, r := range snapshot(m.incomplete) {
+	for _, r := range m.scan() {
 		if !r.incremental || r.state != StateEntitled || r.want.Empty() {
 			continue
 		}
 		if !m.askFree(r) {
 			continue
 		}
-		ask := r.want.Clone()
+		// Every asked resource is needed, so it is locked in exactly one
+		// mode: write if the request write-locks it, read otherwise.
+		ask := r.want
 		r.want = ResourceSet{}
-		readPart := ask.Clone()
-		readPart.IntersectWith(r.needRead)
-		writePart := ask.Clone()
-		writePart.IntersectWith(r.writeLockSet())
-		m.lock(r, readPart, false)
-		m.lock(r, writePart, true)
+		ask.ForEach(func(a ResourceID) bool {
+			m.lockOne(r, a, r.wlock.Has(a))
+			return true
+		})
 		if r.askT >= 0 {
 			r.incDelay += t - r.askT
 			r.askT = -1
@@ -173,7 +173,7 @@ func (m *RSM) askFree(r *request) bool {
 			free = false
 			return false
 		}
-		if r.writeLockSet().Has(a) && len(rs.readHolders) > 0 {
+		if r.wlock.Has(a) && len(rs.readHolders) > 0 {
 			free = false
 			return false
 		}

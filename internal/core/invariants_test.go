@@ -78,7 +78,7 @@ func (c *checker) check(ctx string) {
 	if c.strict {
 		var earliestWrite *request
 		for _, r := range m.incomplete {
-			if r.kind == KindWrite && (earliestWrite == nil || r.seq < earliestWrite.seq) {
+			if r.kind == KindWrite && (earliestWrite == nil || r.id < earliestWrite.id) {
 				earliestWrite = r
 			}
 		}
@@ -132,22 +132,27 @@ type reqTemplate struct {
 	write []ResourceID
 }
 
-// randomSystem builds a random resource system together with the templates
+// randomSystem builds a random resource system whose contended resources
+// are those of universe (see fuzzCfg.universe), together with the templates
 // of its declared potential requests.
-func randomSystem(rng *rand.Rand, q int, mixed bool) (*Spec, []reqTemplate) {
-	b := NewSpecBuilder(q)
+func randomSystem(rng *rand.Rand, universe []ResourceID, mixed bool) (*Spec, []reqTemplate) {
+	width := 0
+	for _, id := range universe {
+		width = max(width, int(id)+1)
+	}
+	b := NewSpecBuilder(width)
 	var templates []reqTemplate
 	n := rng.Intn(5) + 3
 	for i := 0; i < n; i++ {
 		var tpl reqTemplate
 		switch {
 		case mixed && rng.Intn(3) == 0: // mixed template
-			tpl.read = pickResources(rng, q, 2)
-			tpl.write = pickResources(rng, q, 2)
+			tpl.read = pickResources(rng, universe, 2)
+			tpl.write = pickResources(rng, universe, 2)
 		case rng.Intn(2) == 0: // pure read group
-			tpl.read = pickResources(rng, q, 3)
+			tpl.read = pickResources(rng, universe, 3)
 		default: // pure write
-			tpl.write = pickResources(rng, q, 3)
+			tpl.write = pickResources(rng, universe, 3)
 		}
 		// Drop overlap: overlapping IDs would be writes anyway.
 		tpl.read = subtract(tpl.read, tpl.write)
@@ -160,7 +165,7 @@ func randomSystem(rng *rand.Rand, q int, mixed bool) (*Spec, []reqTemplate) {
 		templates = append(templates, tpl)
 	}
 	if len(templates) == 0 {
-		tpl := reqTemplate{write: []ResourceID{0}}
+		tpl := reqTemplate{write: universe[:1]}
 		if err := b.DeclareRequest(nil, tpl.write); err != nil {
 			panic(err)
 		}
@@ -224,12 +229,12 @@ func readTemplates(templates []reqTemplate) []reqTemplate {
 	return out
 }
 
-func pickResources(rng *rand.Rand, q, max int) []ResourceID {
+func pickResources(rng *rand.Rand, universe []ResourceID, max int) []ResourceID {
 	n := rng.Intn(max) + 1
 	seen := map[ResourceID]bool{}
 	var ids []ResourceID
 	for i := 0; i < n; i++ {
-		id := ResourceID(rng.Intn(q))
+		id := universe[rng.Intn(len(universe))]
 		if !seen[id] {
 			seen[id] = true
 			ids = append(ids, id)
@@ -244,7 +249,19 @@ type fuzzCfg struct {
 	upgrades    bool
 	incremental bool
 	mixed       bool
+	// universe, when set, lists the resource IDs an episode draws from (its
+	// first q of them), in a system just wide enough to hold them: the same
+	// contention as the dense default 0 … q-1, at IDs of the harness's
+	// choosing.
+	universe []ResourceID
 }
+
+// wideUniverse puts an episode's handful of resources on both sides of every
+// boundary of the ResourceSet representation — the two inline words and the
+// spill beyond ID 127 — so that the rules run on sets whose members sit in
+// different words and in the spill. Ordered so that even the smallest
+// episode (q = 2) has one resource inline and one spilled.
+var wideUniverse = []ResourceID{128, 63, 299, 127, 64, 129, 5}
 
 // fuzzRSM drives one randomized episode and invariant-checks every step.
 // Returns the number of completed requests.
@@ -252,7 +269,12 @@ func fuzzRSM(t *testing.T, seed int64, cfg fuzzCfg) int {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	q := rng.Intn(6) + 2
-	spec, templates := randomSystem(rng, q, cfg.mixed)
+	universe := cfg.universe
+	if universe == nil {
+		universe = []ResourceID{0, 1, 2, 3, 4, 5, 6}
+	}
+	universe = universe[:q]
+	spec, templates := randomSystem(rng, universe, cfg.mixed)
 	rtpls := readTemplates(templates)
 	m := NewRSM(spec, cfg.opt)
 	strict := !cfg.mixed && !cfg.incremental
@@ -299,7 +321,7 @@ func fuzzRSM(t *testing.T, seed int64, cfg fuzzCfg) int {
 				initial := full[:rng.Intn(len(full))+1]
 				id, err = m.IssueIncremental(now, full, nil, initial, nil, nil)
 			} else {
-				full := pickResources(rng, q, 3)
+				full := pickResources(rng, universe, 3)
 				initial := full[:rng.Intn(len(full))+1]
 				id, err = m.IssueIncremental(now, nil, full, nil, initial, nil)
 			}
@@ -468,6 +490,25 @@ func TestInvariantsRandomEverything(t *testing.T) {
 			incremental: true,
 			mixed:       true,
 		})
+	}
+}
+
+// The same episodes on a 300-resource system whose contended resources
+// straddle the inline/spill boundary of ResourceSet: every rule, both
+// placeholder modes and every request form run on spilled sets.
+func TestInvariantsRandomWideSpec(t *testing.T) {
+	total := 0
+	for seed := int64(700); seed <= 740; seed++ {
+		total += fuzzRSM(t, seed, fuzzCfg{
+			opt:         Options{Placeholders: seed%2 == 0, RecordHistory: seed%3 == 0},
+			upgrades:    true,
+			incremental: true,
+			mixed:       seed%4 != 0,
+			universe:    wideUniverse,
+		})
+	}
+	if total == 0 {
+		t.Fatal("no requests completed across all seeds")
 	}
 }
 

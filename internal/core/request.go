@@ -88,8 +88,7 @@ const (
 
 // request is the RSM's internal representation of one resource request.
 type request struct {
-	id  ReqID
-	seq int64 // timestamp order ts(R); identical to id but kept separate for clarity
+	id ReqID // doubles as the timestamp ts(R), see ReqID
 
 	kind Kind
 
@@ -115,6 +114,18 @@ type request struct {
 	wqSet ResourceSet
 	rqSet ResourceSet
 
+	// wlock and pertain are the two derived sets every conflict test reads,
+	// fixed by buildRequest (their inputs never change afterwards) so that
+	// the blocker scans union nothing:
+	//
+	//   - wlock = N^w ∪ extraWrite: what the request locks in write mode when
+	//     satisfied;
+	//   - pertain = D = N ∪ extraWrite: everything it pertains to for conflict
+	//     purposes. Placeholder queues are excluded — a placeholder never locks
+	//     anything and never conflicts.
+	wlock   ResourceSet
+	pertain ResourceSet
+
 	state State
 
 	// Timestamps for metrics (acquisition delay analysis).
@@ -123,9 +134,13 @@ type request struct {
 	satisfyT  Time
 	completeT Time
 
-	// Upgradeable-request pairing (Sec. 3.6).
+	// Upgradeable-request pairing (Sec. 3.6). groupPeer points at the other
+	// half only while that half is incomplete (retire clears it, so a
+	// recycled record is never mistaken for the peer); pair is its ID for
+	// good, which is what events report.
 	group       int64 // 0 = not part of an upgrade pair
 	groupPeer   *request
+	pair        ReqID
 	upgradeRole int
 
 	// Incremental locking (Sec. 3.7).
@@ -149,27 +164,13 @@ type request struct {
 	tag any
 }
 
-// writeLockSet is the set of resources this request locks in write mode when
-// satisfied: N^w ∪ extraWrite.
-func (r *request) writeLockSet() ResourceSet {
-	return Union(r.needWrite, r.extraWrite)
-}
-
-// pertainSet is D, the full set of resources the request pertains to for
-// conflict purposes: N ∪ extraWrite. Placeholder queues are excluded — a
-// placeholder never locks anything and never conflicts.
-func (r *request) pertainSet() ResourceSet {
-	return Union(r.need, r.extraWrite)
-}
-
 // conflictsWith reports whether r and o conflict: they pertain to a common
 // resource that at least one of them writes (Sec. 2, "Resource model").
 func (r *request) conflictsWith(o *request) bool {
 	if r == o {
 		return false
 	}
-	return r.writeLockSet().Intersects(o.pertainSet()) ||
-		o.writeLockSet().Intersects(r.pertainSet())
+	return r.wlock.Intersects(o.pertain) || o.wlock.Intersects(r.pertain)
 }
 
 // RequestInfo is an immutable snapshot of a request's externally visible

@@ -121,9 +121,17 @@ type RSM struct {
 	reqs       map[ReqID]*request
 	incomplete []*request // all incomplete requests, timestamp order
 
+	// pass is the one buffer every stabilization pass ranges over (see scan);
+	// free holds the records of retired requests for buildRequest to reuse.
+	// Together with the capacity the queues above retain, they are why a
+	// warmed-up RSM allocates nothing per invocation.
+	pass []*request
+	free []*request
+
 	nextGroup int64
 
 	obs     Observer
+	wake    func(ReqID)
 	history []RequestInfo
 
 	stats Stats
@@ -155,8 +163,18 @@ func NewRSM(spec *Spec, opt Options) *RSM {
 	}
 }
 
-// SetObserver installs obs to receive protocol events; nil disables.
+// SetObserver installs obs to receive protocol events; nil disables, and is
+// the zero-cost path: no Event is built for nobody. An embedder that only
+// needs to know whom an invocation unblocked uses SetWakeHook instead.
 func (m *RSM) SetObserver(obs Observer) { m.obs = obs }
+
+// SetWakeHook installs f to be called, during the invocation that causes it,
+// with the ID of every request that is satisfied, is granted an incremental
+// ask, or is canceled — the three transitions that end a caller's wait (the
+// runtime lock collects the waiters to signal from it). It costs one call
+// per such transition and builds no Event; like an Observer, f must not call
+// back into the RSM. Nil disables.
+func (m *RSM) SetWakeHook(f func(ReqID)) { m.wake = f }
 
 // Spec returns the resource-system description the RSM was built with.
 func (m *RSM) Spec() *Spec { return m.spec }
@@ -175,20 +193,26 @@ func (m *RSM) History() []RequestInfo {
 	return h
 }
 
+// emit reports one transition of r: to the wake hook if it ends a wait, and
+// as an Event to the observer — built only if there is one.
 func (m *RSM) emit(t Time, typ EventType, r *request, rs ResourceSet) {
+	if m.wake != nil {
+		switch typ {
+		case EvSatisfied, EvGranted, EvCanceled:
+			m.wake(r.id)
+		}
+	}
 	if m.obs == nil {
 		return
 	}
 	e := Event{
 		T: t, Type: typ, Req: r.id, Kind: r.kind,
-		Resources:   rs,
+		Resources:   rs.Clone(),
 		Read:        r.needRead.Clone(),
-		Write:       r.writeLockSet(),
+		Write:       r.wlock.Clone(),
+		Pair:        r.pair,
 		Incremental: r.incremental,
 		Tag:         r.tag,
-	}
-	if r.groupPeer != nil {
-		e.Pair = r.groupPeer.id
 	}
 	switch typ {
 	case EvIssued:
@@ -283,13 +307,14 @@ func (m *RSM) issueSets(t Time, nr, nw ResourceSet, tag any) (ReqID, error) {
 		return 0, err
 	}
 	m.enqueue(r)
-	m.emit(t, EvIssued, r, r.pertainSet())
+	m.emit(t, EvIssued, r, r.pertain)
 	m.stabilize(t)
 	return r.id, nil
 }
 
 // buildRequest validates the needed sets and constructs the request with its
-// expansion extras or placeholder set, without enqueueing it.
+// expansion extras or placeholder set, without enqueueing it. The record
+// comes off the free list when there is one.
 func (m *RSM) buildRequest(t Time, nr, nw ResourceSet, tag any) (*request, error) {
 	if err := m.spec.Validate(nr); err != nil {
 		return nil, err
@@ -302,9 +327,15 @@ func (m *RSM) buildRequest(t Time, nr, nw ResourceSet, tag any) (*request, error
 		return nil, ErrEmptyRequest
 	}
 	m.nextID += m.opt.IDStep
-	r := &request{
+	var r *request
+	if n := len(m.free); n > 0 {
+		r, m.free[n-1] = m.free[n-1], nil
+		m.free = m.free[:n-1]
+	} else {
+		r = new(request)
+	}
+	*r = request{
 		id:        m.nextID,
-		seq:       int64(m.nextID),
 		needRead:  nr,
 		needWrite: nw,
 		need:      need,
@@ -325,15 +356,35 @@ func (m *RSM) buildRequest(t Time, nr, nw ResourceSet, tag any) (*request, error
 		extra.SubtractWith(need)
 		if m.opt.Placeholders {
 			r.placeholders = extra
-			r.wqSet = need.Clone()
 		} else {
 			r.extraWrite = extra
-			r.wqSet = need.Clone()
-			r.wqSet.UnionWith(extra)
 		}
+	}
+	r.wlock = Union(nw, r.extraWrite)
+	r.pertain = Union(need, r.extraWrite)
+	if r.kind == KindWrite {
+		r.wqSet = r.pertain.Clone()
 	}
 	m.stats.Issued++
 	return r, nil
+}
+
+// retire is the last step of a request that completed or was canceled, once
+// it has left every queue, holder list and the incomplete list and its last
+// event is out: its RequestInfo goes to the history (under RecordHistory) and
+// its record to the free list. What may still hold the pointer is the current
+// pass's buffer, and a pass only acts on waiting or entitled requests — so the
+// record keeps its terminal state until buildRequest overwrites it, which no
+// pass is running across.
+func (m *RSM) retire(r *request) {
+	if m.opt.RecordHistory {
+		m.history = append(m.history, r.info())
+	}
+	if p := r.groupPeer; p != nil {
+		p.groupPeer, r.groupPeer = nil, nil
+	}
+	r.tag = nil
+	m.free = append(m.free, r)
 }
 
 // enqueue inserts the request into the queues of every resource it pertains
@@ -356,9 +407,9 @@ func (m *RSM) enqueue(r *request) {
 		m.res[a].wq = append(m.res[a].wq, wqEntry{r: r, placeholder: true})
 		return true
 	})
-	// Write queues are kept in timestamp order. Requests are issued with
-	// increasing timestamps, so appending preserves order; this sort is a
-	// defensive invariant guard that costs nothing when already sorted.
+	// Appending keeps every write queue in timestamp order (Rule W1): IDs are
+	// minted in invocation order and a request is enqueued by the invocation
+	// that mints it. CheckInvariants verifies the order (I4).
 }
 
 // ---------------------------------------------------------------------------
@@ -391,8 +442,8 @@ func (m *RSM) Complete(t Time, id ReqID) error {
 	r.completeT = t
 	m.removeIncomplete(r)
 	m.stats.Completed++
-	m.emit(t, EvCompleted, r, r.pertainSet())
-	m.record(r)
+	m.emit(t, EvCompleted, r, r.pertain)
+	m.retire(r)
 	m.stabilize(t)
 	return nil
 }
@@ -416,11 +467,12 @@ func (m *RSM) dequeueAll(r *request) {
 		m.res[a].rq = removeReq(m.res[a].rq, r)
 		return true
 	})
-	both := Union(r.wqSet, r.placeholders)
-	both.ForEach(func(a ResourceID) bool {
-		m.res[a].wq = removeWQ(m.res[a].wq, r)
-		return true
-	})
+	for _, set := range [2]ResourceSet{r.wqSet, r.placeholders} {
+		set.ForEach(func(a ResourceID) bool {
+			m.res[a].wq = removeWQ(m.res[a].wq, r)
+			return true
+		})
+	}
 }
 
 func (m *RSM) removeIncomplete(r *request) {
@@ -428,16 +480,15 @@ func (m *RSM) removeIncomplete(r *request) {
 	delete(m.reqs, r.id)
 }
 
-func (m *RSM) record(r *request) {
-	if m.opt.RecordHistory {
-		m.history = append(m.history, r.info())
-	}
-}
-
+// removeReq and removeWQ shrink a queue in place and zero the slots they
+// vacate: the backing arrays are kept for their capacity, and a pointer left
+// behind past len would alias the record once it is recycled.
 func removeReq(s []*request, r *request) []*request {
 	for i, x := range s {
 		if x == r {
-			return append(s[:i], s[i+1:]...)
+			copy(s[i:], s[i+1:])
+			s[len(s)-1] = nil
+			return s[:len(s)-1]
 		}
 	}
 	return s
@@ -450,6 +501,7 @@ func removeWQ(s []wqEntry, r *request) []wqEntry {
 			out = append(out, e)
 		}
 	}
+	clear(s[len(out):])
 	return out
 }
 
@@ -499,7 +551,7 @@ func (m *RSM) stabilize(t Time) {
 // or satisfied".
 func (m *RSM) freshPass(t Time) bool {
 	changed := false
-	for _, r := range snapshot(m.incomplete) {
+	for _, r := range m.scan() {
 		if r.state != StateWaiting || !r.fresh {
 			continue
 		}
@@ -534,7 +586,7 @@ func (m *RSM) lateReadPass(t Time) bool {
 		return false
 	}
 	changed := false
-	for _, r := range snapshot(m.incomplete) {
+	for _, r := range m.scan() {
 		if r.state != StateWaiting || r.kind != KindRead {
 			continue
 		}
@@ -550,14 +602,16 @@ func (m *RSM) lateReadPass(t Time) bool {
 // queue it is enqueued in.
 func (m *RSM) headEverywhere(r *request) bool {
 	ok := true
-	Union(r.wqSet, r.placeholders).ForEach(func(a ResourceID) bool {
-		q := m.res[a].wq
-		if len(q) == 0 || q[0].r != r {
-			ok = false
-			return false
+	for _, set := range [2]ResourceSet{r.wqSet, r.placeholders} {
+		set.ForEach(func(a ResourceID) bool {
+			q := m.res[a].wq
+			ok = len(q) != 0 && q[0].r == r
+			return ok
+		})
+		if !ok {
+			break
 		}
-		return true
-	})
+	}
 	return ok
 }
 
@@ -565,7 +619,7 @@ func (m *RSM) headEverywhere(r *request) bool {
 // first instant its blocking set B(R, t) is empty.
 func (m *RSM) satisfyPass(t Time) bool {
 	changed := false
-	for _, r := range snapshot(m.incomplete) {
+	for _, r := range m.scan() {
 		if r.state != StateEntitled || r.incremental {
 			continue
 		}
@@ -595,7 +649,7 @@ func (m *RSM) satisfy(t Time, r *request, immediate bool) {
 		r.want = ResourceSet{}
 	}
 	m.lock(r, r.needRead, false)
-	m.lock(r, r.writeLockSet(), true)
+	m.lock(r, r.wlock, true)
 	m.stats.Satisfied++
 	if immediate {
 		m.stats.ImmediateSats++
@@ -615,18 +669,23 @@ func (m *RSM) satisfy(t Time, r *request, immediate bool) {
 // lock records r as holder of every resource in set, in write mode if write.
 func (m *RSM) lock(r *request, set ResourceSet, write bool) {
 	set.ForEach(func(a ResourceID) bool {
-		rs := &m.res[a]
-		if write {
-			if rs.writeHolder != nil {
-				panic(fmt.Sprintf("core: double write lock on resource %d (holder %d, new %d)", a, rs.writeHolder.id, r.id))
-			}
-			rs.writeHolder = r
-		} else {
-			rs.readHolders = append(rs.readHolders, r)
-		}
-		r.granted.Add(a)
+		m.lockOne(r, a, write)
 		return true
 	})
+}
+
+// lockOne records r as a holder of resource a, in write mode if write.
+func (m *RSM) lockOne(r *request, a ResourceID, write bool) {
+	rs := &m.res[a]
+	if write {
+		if rs.writeHolder != nil {
+			panic(fmt.Sprintf("core: double write lock on resource %d (holder %d, new %d)", a, rs.writeHolder.id, r.id))
+		}
+		rs.writeHolder = r
+	} else {
+		rs.readHolders = append(rs.readHolders, r)
+	}
+	r.granted.Add(a)
 }
 
 // entitlePass applies Defs. 3–4: waiting requests become entitled when
@@ -634,7 +693,7 @@ func (m *RSM) lock(r *request, set ResourceSet, write bool) {
 // an upgradeable pair is considered before its write half.
 func (m *RSM) entitlePass(t Time) bool {
 	changed := false
-	for _, r := range snapshot(m.incomplete) {
+	for _, r := range m.scan() {
 		if r.state != StateWaiting {
 			continue
 		}
@@ -662,7 +721,7 @@ func (m *RSM) entitlePass(t Time) bool {
 				})
 				m.emit(t, EvPlaceholdersRemoved, r, ph)
 			}
-			m.emit(t, EvEntitled, r, r.pertainSet())
+			m.emit(t, EvEntitled, r, r.pertain)
 			changed = true
 		}
 	}
@@ -700,22 +759,14 @@ func (m *RSM) readEntitleEligible(r *request) bool {
 // be held by a write request (a resource read-locked by a mixed request is
 // treated as if it were write locked).
 func (m *RSM) writeEntitleEligible(r *request) bool {
-	ok := true
 	// Head of every write queue where enqueued (real and placeholder).
-	Union(r.wqSet, r.placeholders).ForEach(func(a ResourceID) bool {
-		rs := &m.res[a]
-		if len(rs.wq) == 0 || rs.wq[0].r != r {
-			ok = false
-			return false
-		}
-		return true
-	})
-	if !ok {
+	if !m.headEverywhere(r) {
 		return false
 	}
 	// For each ℓ ∈ D (needed set plus expansion extras): no entitled read,
 	// and no write-kind holder.
-	r.pertainSet().ForEach(func(a ResourceID) bool {
+	ok := true
+	r.pertain.ForEach(func(a ResourceID) bool {
 		rs := &m.res[a]
 		for _, rr := range rs.rq {
 			if rr.state == StateEntitled {
@@ -738,11 +789,13 @@ func (m *RSM) writeEntitleEligible(r *request) bool {
 	return ok
 }
 
-// snapshot copies the incomplete list so passes may mutate it while ranging.
-func snapshot(s []*request) []*request {
-	out := make([]*request, len(s))
-	copy(out, s)
-	return out
+// scan copies the incomplete list into the RSM's pass buffer, so that a pass
+// may retire requests (mutating the list) while ranging over it. One buffer
+// serves every pass because passes never nest: the only thing a pass calls
+// that walks requests is satisfy → cancel, which does not stabilize.
+func (m *RSM) scan() []*request {
+	m.pass = append(m.pass[:0], m.incomplete...)
+	return m.pass
 }
 
 // ---------------------------------------------------------------------------
@@ -768,6 +821,9 @@ func (m *RSM) Info(id ReqID) (RequestInfo, error) {
 // State returns the request's current lifecycle state, or StateComplete /
 // StateCanceled from history if recorded.
 func (m *RSM) State(id ReqID) (State, error) {
+	if r := m.reqs[id]; r != nil {
+		return r.state, nil
+	}
 	ri, err := m.Info(id)
 	return ri.State, err
 }

@@ -150,9 +150,9 @@ func TestCheckInvariantsTruncationReported(t *testing.T) {
 	q := maxInvariantReports + 5
 	m := NewRSM(NewSpecBuilder(q).Build(), Options{})
 	// Manufacture q out-of-order write queues directly: two bare requests
-	// with decreasing seq in every WQ trips I4 once per resource.
-	r1 := &request{id: 1, seq: 2, kind: KindWrite}
-	r2 := &request{id: 2, seq: 1, kind: KindWrite}
+	// with decreasing IDs in every WQ trips I4 once per resource.
+	r1 := &request{id: 2, kind: KindWrite}
+	r2 := &request{id: 1, kind: KindWrite}
 	for a := 0; a < q; a++ {
 		m.res[a].wq = []wqEntry{{r: r1}, {r: r2}}
 	}

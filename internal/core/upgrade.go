@@ -83,6 +83,7 @@ func (m *RSM) IssueUpgradeable(t Time, resources []ResourceID, tag any) (Upgrade
 	m.nextGroup++
 	ur.group, uw.group = m.nextGroup, m.nextGroup
 	ur.groupPeer, uw.groupPeer = uw, ur
+	ur.pair, uw.pair = uw.id, ur.id
 	ur.upgradeRole, uw.upgradeRole = roleURead, roleUWrite
 	// The pair counts as a single request for Prop. P2 purposes; both halves
 	// still count individually in the Issued statistic above, so correct it.
@@ -90,8 +91,8 @@ func (m *RSM) IssueUpgradeable(t Time, resources []ResourceID, tag any) (Upgrade
 
 	m.enqueue(ur)
 	m.enqueue(uw)
-	m.emit(t, EvIssued, ur, ur.pertainSet())
-	m.emit(t, EvIssued, uw, uw.pertainSet())
+	m.emit(t, EvIssued, ur, ur.pertain)
+	m.emit(t, EvIssued, uw, uw.pertain)
 	m.stabilize(t)
 	return UpgradeHandle{ReadID: ur.id, WriteID: uw.id}, nil
 }
@@ -132,13 +133,13 @@ func (m *RSM) FinishRead(t Time, h UpgradeHandle, upgrade bool) error {
 	if ur.state != StateSatisfied {
 		return fmt.Errorf("%w: FinishRead with read half in state %s", ErrBadState, ur.state)
 	}
-	released := ur.granted.Clone()
+	released := ur.granted // unlockAll replaces the set, it does not empty it
 	m.unlockAll(ur)
 	ur.state = StateComplete
 	ur.completeT = t
 	m.removeIncomplete(ur)
 	m.emit(t, EvReadSegmentDone, ur, released)
-	m.record(ur)
+	m.retire(ur)
 
 	uw := m.reqs[h.WriteID]
 	if upgrade {
@@ -167,8 +168,8 @@ func (m *RSM) cancel(t Time, r *request) {
 	r.completeT = t
 	m.removeIncomplete(r)
 	m.stats.Canceled++
-	m.emit(t, EvCanceled, r, r.pertainSet())
-	m.record(r)
+	m.emit(t, EvCanceled, r, r.pertain)
+	m.retire(r)
 }
 
 // CancelUpgradeable withdraws an upgradeable pair before it holds anything.

@@ -77,6 +77,9 @@ const (
 type waiter struct {
 	state atomic.Uint32
 	sema  chan struct{}
+	// next links the waiter into its shard's batch of pending signals, from
+	// the grant (under the shard mutex) until unlock delivers the signal.
+	next *waiter
 }
 
 // waiterPool recycles waiters. Pooled waiters are always in state parkIdle

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/rtsync/rwrnlp/internal/obs"
+	"github.com/rtsync/rwrnlp/internal/trace"
 )
 
 // parkTestSpec declares one {0,1} component.
@@ -115,13 +116,30 @@ func TestWaiterStateMachine(t *testing.T) {
 // park behind one writer; releasing the writer satisfies all of them inside
 // one critical section, and the signal batch must deliver exactly one
 // runtime wakeup per entitled grant — no broadcast, no spurious delivery.
+// Wake-ups come from the RSM's wake hook and events from its observer, two
+// separate attachments: the identity must hold whether or not a tracer has
+// been added to the stream.
 func TestParkWakeupAccounting(t *testing.T) {
+	t.Run("no-tracer", func(t *testing.T) { parkWakeupAccounting(t, nil) })
+	t.Run("late-tracer", func(t *testing.T) {
+		rec := &trace.Recorder{}
+		parkWakeupAccounting(t, rec)
+		if res := trace.Check(rec.Events()); !res.Ok() {
+			t.Fatalf("trace violations: %v", res.Violations)
+		}
+	})
+}
+
+func parkWakeupAccounting(t *testing.T, tracer *trace.Recorder) {
 	const readers = 6
 	p := New(parkTestSpec(t),
 		WithPlaceholders(),
 		WithMetrics(),
 		WithSelfCheck(),
 		WithFastPath(FastPathConfig{}))
+	if tracer != nil {
+		p.SetTracer(tracer)
+	}
 
 	wtok, err := p.Write(bgCtx, 0, 1)
 	if err != nil {
@@ -147,25 +165,7 @@ func TestParkWakeupAccounting(t *testing.T) {
 	// Wait until every reader is not merely issued but physically parked
 	// (state word observed parkParked), so no signal can land as a direct
 	// delivery and the count below prices real wakeups.
-	s := p.shards[0]
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		parked := 0
-		s.mu.Lock()
-		for _, w := range s.waiters {
-			if w.state.Load() == parkParked {
-				parked++
-			}
-		}
-		s.mu.Unlock()
-		if parked == readers {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d readers parked", parked, readers)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitParked(t, p.shards[0], readers)
 
 	if err := p.Release(wtok); err != nil {
 		t.Fatal(err)

@@ -317,7 +317,9 @@ func (p *Protocol) DebugMux() http.Handler {
 // feed it a trace.Recorder to machine-check an execution against the
 // paper's properties. Must be called before any acquisition; it replaces
 // any tracer previously set (the sinks enabled by WithMetrics and the other
-// observability options are unaffected). With several shards the
+// observability options are unaffected). On a protocol built without any of
+// those options this is what gives the RSMs an observer at all: until then
+// they build no events. With several shards the
 // tracer sees each shard's events in order but the shards interleave; the
 // trace checker is insensitive to that, since cross-shard requests never
 // conflict. (The argument type lives in an internal package; this hook is
@@ -396,10 +398,12 @@ type part struct {
 	read, write []ResourceID
 }
 
-// split validates the footprint and groups it by component, ascending. The
-// common case — all resources in one component, which every declared request
-// satisfies by construction — returns exactly one part.
-func (p *Protocol) split(read, write []ResourceID) ([]part, error) {
+// split validates the footprint and groups it by component, ascending,
+// appending the parts to buf. The common case — all resources in one
+// component, which every declared request satisfies by construction — is
+// exactly one part, so a caller that passes a one-element array from its
+// stack pays no allocation for it.
+func (p *Protocol) split(buf []part, read, write []ResourceID) ([]part, error) {
 	q := p.spec.NumResources()
 	check := func(ids []ResourceID) error {
 		for _, id := range ids {
@@ -430,7 +434,7 @@ func (p *Protocol) split(read, write []ResourceID) ([]part, error) {
 		}
 	}
 	if !multi {
-		return []part{{s: p.shards[first], read: read, write: write}}, nil
+		return append(buf, part{s: p.shards[first], read: read, write: write}), nil
 	}
 	byComp := map[int]*part{}
 	slice := func(ids []ResourceID, write bool) {
@@ -455,11 +459,10 @@ func (p *Protocol) split(read, write []ResourceID) ([]part, error) {
 		comps = append(comps, c)
 	}
 	sort.Ints(comps)
-	parts := make([]part, 0, len(comps))
 	for _, c := range comps {
-		parts = append(parts, *byComp[c])
+		buf = append(buf, *byComp[c])
 	}
-	return parts, nil
+	return buf, nil
 }
 
 // tagKey is the context key of ContextWithTag (unexported: collisions are
@@ -530,7 +533,8 @@ func (p *Protocol) BlockerTags(c BlockChain) map[uint64]string {
 // documentation.
 func (p *Protocol) Acquire(ctx context.Context, read, write []ResourceID) (Token, error) {
 	start := p.nowNS()
-	parts, err := p.split(read, write)
+	var one [1]part
+	parts, err := p.split(one[:0], read, write)
 	if err != nil {
 		return Token{}, err
 	}

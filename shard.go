@@ -31,6 +31,12 @@ type issueOp struct {
 	done atomic.Bool
 }
 
+// opPool recycles the ops contended combines publish. The combining stack is
+// push-one/swap-all, so a recycled op reappearing at its head while another
+// publisher's CAS is in flight is harmless: the CAS only asserts that the
+// head is still the pointer the publisher linked behind its own op.
+var opPool = sync.Pool{New: func() any { return new(issueOp) }}
+
 // shard runs one connected component's RSM behind its own mutex. Requests
 // confined to the component never interact with other shards in any way
 // (see core.Spec: the read-sharing closure never crosses a component
@@ -46,7 +52,10 @@ type shard struct {
 	rsm     *core.RSM
 	clock   core.Time
 	waiters map[core.ReqID]*waiter
-	signals []*waiter // satisfied during the current critical section
+	// The waiters satisfied during the current critical section, in grant
+	// order, linked through waiter.next: unlock signals them after releasing
+	// the mutex.
+	sigHead, sigTail *waiter
 
 	ops atomic.Pointer[issueOp] // combining stack; nil = empty
 
@@ -89,13 +98,13 @@ type shard struct {
 	rsmLive        atomic.Int64
 	rsmIntent      atomic.Int64
 
-	// pipe is the shard's whole observability plane: every RSM event goes to
-	// it in one call. Nil — one nil check per event — unless an observability
-	// option was set or a tracer installed (see pipeline). Its request table
-	// sees only this shard's strided IDs; the metrics sink, attributor and
-	// flight recorder behind it are the Protocol's, so the protocol_* series
-	// aggregate across shards, while the watchdog is the shard's own (tick
-	// clocks never mix).
+	// pipe is the shard's whole observability plane and, when non-nil, the
+	// RSM's observer. Nil — the RSM then has no observer and builds no events
+	// — unless an observability option was set or a tracer installed (see
+	// pipeline). Its request table sees only this shard's strided IDs; the
+	// metrics sink, attributor and flight recorder behind it are the
+	// Protocol's, so the protocol_* series aggregate across shards, while the
+	// watchdog is the shard's own (tick clocks never mix).
 	pipe *obs.Pipeline
 
 	// Per-shard instruments (nil unless metrics), carrying a shard label.
@@ -148,10 +157,11 @@ func newShard(p *Protocol, idx, n int) *shard {
 	if p.wdogs != nil {
 		sinks.Watchdog = p.wdogs[idx]
 	}
+	s.rsm.SetWakeHook(s.wake)
 	if sinks != (obs.Sinks{Shard: idx}) { // some option attached a sink
 		s.pipe = obs.NewPipeline(sinks)
+		s.rsm.SetObserver(s.pipe)
 	}
-	s.rsm.SetObserver(core.ObserverFunc(s.observe))
 	return s
 }
 
@@ -160,29 +170,33 @@ func (s *shard) tick() core.Time {
 	return s.clock
 }
 
-// observe runs under s.mu (the RSM is only invoked with the mutex held).
-// Wakeups are batched: satisfied waiters are collected here and signaled by
-// unlock after the mutex is released, so one Release that satisfies many
-// requests signals them all outside its critical section and woken
-// goroutines never collide with the signaler on s.mu.
-func (s *shard) observe(e core.Event) {
-	switch e.Type {
-	case core.EvSatisfied, core.EvGranted, core.EvCanceled:
-		if w, ok := s.waiters[e.Req]; ok {
-			delete(s.waiters, e.Req)
-			s.signals = append(s.signals, w)
-		}
+// wake is the RSM's wake hook: it runs under s.mu (the RSM is only invoked
+// with the mutex held) for every request the current invocation satisfied,
+// granted or canceled. Wakeups are batched: the waiters are collected here and
+// signaled by unlock after the mutex is released, so one Release that
+// satisfies many requests signals them all outside its critical section and
+// woken goroutines never collide with the signaler on s.mu.
+func (s *shard) wake(id core.ReqID) {
+	w, ok := s.waiters[id]
+	if !ok {
+		return
 	}
-	if s.pipe != nil {
-		s.pipe.Observe(e)
+	delete(s.waiters, id)
+	if s.sigTail == nil {
+		s.sigHead = w
+	} else {
+		s.sigTail.next = w
 	}
+	s.sigTail = w
 }
 
 // pipeline returns the shard's pipeline, creating an empty one for a tracer
-// to ride on if no observability option built it. Caller holds s.mu.
+// to ride on — and making it the RSM's observer — if no observability option
+// built it. Caller holds s.mu.
 func (s *shard) pipeline() *obs.Pipeline {
 	if s.pipe == nil {
 		s.pipe = obs.NewPipeline(obs.Sinks{})
+		s.rsm.SetObserver(s.pipe)
 	}
 	return s.pipe
 }
@@ -228,10 +242,13 @@ func (s *shard) syncLive() {
 func (s *shard) unlock() {
 	s.drainOps()
 	s.syncLive()
-	sigs := s.signals
-	s.signals = nil
+	w := s.sigHead
+	s.sigHead, s.sigTail = nil, nil
 	s.mu.Unlock()
-	for _, w := range sigs {
+	for w != nil {
+		// Unlink first: once signaled, the waiter is its owner's to recycle.
+		next := w.next
+		w.next = nil
 		switch w.signal() {
 		case parkWokeParked:
 			if s.parkWakeC != nil {
@@ -246,6 +263,7 @@ func (s *shard) unlock() {
 				s.parkSpurC.Inc()
 			}
 		}
+		w = next
 	}
 }
 
@@ -304,7 +322,8 @@ func (s *shard) combine(read, write []ResourceID, tag any) (core.ReqID, *waiter,
 	if s.combineWait != nil {
 		start = time.Now().UnixNano()
 	}
-	op := &issueOp{read: read, write: write, tag: tag}
+	op := opPool.Get().(*issueOp)
+	op.read, op.write, op.tag = read, write, tag
 	for {
 		old := s.ops.Load()
 		op.next = old
@@ -312,28 +331,36 @@ func (s *shard) combine(read, write []ResourceID, tag any) (core.ReqID, *waiter,
 			break
 		}
 	}
+	combined := false
 	for i := 0; i < 128; i++ {
-		if op.done.Load() {
-			// A lock holder combined the op on our behalf.
-			if s.combined != nil {
-				s.combined.Inc()
-				s.combineWait.Observe(time.Now().UnixNano() - start)
-			}
-			return op.id, op.w, op.err
+		if combined = op.done.Load(); combined {
+			break
 		}
 		runtime.Gosched()
 	}
-	// Fallback: take the mutex. Holders drain the stack before releasing, so
-	// once we hold it the op is either done or still in the stack.
-	s.mu.Lock()
-	if !op.done.Load() {
-		s.drainOps()
+	if combined {
+		// A lock holder combined the op on our behalf.
+		if s.combined != nil {
+			s.combined.Inc()
+		}
+	} else {
+		// Fallback: take the mutex. Holders drain the stack before releasing,
+		// so once we hold it the op is either done or still in the stack.
+		s.mu.Lock()
+		if !op.done.Load() {
+			s.drainOps()
+		}
+		s.unlock()
 	}
-	s.unlock()
 	if s.combineWait != nil {
 		s.combineWait.Observe(time.Now().UnixNano() - start)
 	}
-	return op.id, op.w, op.err
+	// done was the executor's last touch of the op (drainOps reads next before
+	// it runs an op), so it is ours alone again: take the results and recycle.
+	id, w, err := op.id, op.w, op.err
+	*op = issueOp{}
+	opPool.Put(op)
+	return id, w, err
 }
 
 // release completes a request, mapping the RSM's unknown-request report to

@@ -60,7 +60,8 @@ func (u *Upgradeable) exitGate() {
 // The resources must lie within one declared component (ErrCrossComponent
 // otherwise): the pair's two halves share one timestamp in one total order.
 func (p *Protocol) AcquireUpgradeable(ctx context.Context, resources ...ResourceID) (*Upgradeable, error) {
-	parts, err := p.split(resources, nil)
+	var one [1]part
+	parts, err := p.split(one[:0], resources, nil)
 	if err != nil {
 		return nil, err
 	}
